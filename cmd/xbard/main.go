@@ -58,7 +58,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		scenarioCache = fs.Int("scenario-cache", 0, "retained /v1/scenario results (0 = default 64)")
 		maxDim        = fs.Int("max-dim", 0, "largest switch dimension the exact tier fills a lattice for (0 = default 1024)")
 		maxAsymDim    = fs.Int("max-asym-dim", 0, "largest switch dimension under a dispatch policy; (max-dim, max-asym-dim] is asymptotic-only (0 = default 1<<20)")
-		maxConcurrent = fs.Int("max-concurrent", 0, "solver slots: concurrent fills and lattice reads (0 = GOMAXPROCS)")
+		maxConcurrent = fs.Int("max-concurrent", 0, "solver slots: concurrent lattice fills, gradient re-solves and scenario evaluations (0 = GOMAXPROCS)")
 		maxGridPoints = fs.Int("max-grid-points", 0, "largest accepted /v1/grid point list (0 = default 256)")
 		maxBody       = fs.Int64("max-body", 0, "request body cap in bytes (0 = default 1 MiB)")
 		timeout       = fs.Duration("timeout", 0, "per-request timeout (0 = default 30s)")

@@ -27,7 +27,6 @@ const (
 // the owning cache and are guarded by the cache lock, not mu.
 type solverEntry struct {
 	mu    chan struct{} // 1-slot semaphore: lockable with a context
-	alg   string
 	sweep *core.SweepSolver
 	mva   *core.MVASweepSolver
 
@@ -49,14 +48,6 @@ func (e *solverEntry) lock(ctx context.Context) error {
 
 func (e *solverEntry) unlock() { <-e.mu }
 
-// switchModel returns the canonical switch the lattice was filled for.
-func (e *solverEntry) switchModel() core.Switch {
-	if e.sweep != nil {
-		return e.sweep.Switch()
-	}
-	return e.mva.Switch()
-}
-
 // resultAt reads the sub-switch measures off the retained lattice.
 // Callers hold the entry lock.
 func (e *solverEntry) resultAt(n1, n2 int) *core.Result {
@@ -64,14 +55,6 @@ func (e *solverEntry) resultAt(n1, n2 int) *core.Result {
 		return e.sweep.ResultAt(n1, n2)
 	}
 	return e.mva.ResultAt(n1, n2)
-}
-
-// result reads the full-size measures. Callers hold the entry lock.
-func (e *solverEntry) result() *core.Result {
-	if e.sweep != nil {
-		return e.sweep.Result()
-	}
-	return e.mva.Result()
 }
 
 // flight is one in-progress lattice fill that concurrent identical
@@ -112,6 +95,7 @@ type solverCache struct {
 	freeAlg2 []*core.MVASweepSolver
 
 	fill    core.Options
+	slots   slots // held by the miss leader around its fill
 	metrics *Metrics
 }
 
@@ -119,7 +103,7 @@ type solverCache struct {
 // lattices are dropped to the GC rather than pinned forever.
 const maxFreeSolvers = 4
 
-func newSolverCache(maxEntries int, fill core.Options, m *Metrics) *solverCache {
+func newSolverCache(maxEntries int, fill core.Options, sl slots, m *Metrics) *solverCache {
 	c := &solverCache{
 		mu:      make(chan struct{}, 1),
 		max:     maxEntries,
@@ -127,6 +111,7 @@ func newSolverCache(maxEntries int, fill core.Options, m *Metrics) *solverCache 
 		items:   make(map[string]*list.Element),
 		flights: make(map[string]*flight),
 		fill:    fill,
+		slots:   sl,
 		metrics: m,
 	}
 	return c
@@ -208,7 +193,7 @@ func (c *solverCache) get(ctx context.Context, alg string, sw core.Switch) (e *s
 	c.unlock()
 	c.metrics.cacheMisses.Add(1)
 
-	e, err = c.build(alg, sw)
+	e, err = c.build(ctx, alg, sw)
 
 	c.lock()
 	delete(c.flights, key)
@@ -277,53 +262,57 @@ func (c *solverCache) recycleLocked(e *solverEntry) {
 	}
 }
 
-// build fills a lattice for the operating point, recycling a pooled
-// solver when one is available. Runs outside the cache lock — this is
-// the expensive part single-flight protects.
-func (c *solverCache) build(alg string, sw core.Switch) (*solverEntry, error) {
+// build fills a lattice for the operating point under a solver slot,
+// recycling a pooled solver when one is available. Runs outside the
+// cache lock — this is the expensive part single-flight protects. A
+// slot wait that outlives ctx fails the flight with ctx's error.
+func (c *solverCache) build(ctx context.Context, alg string, sw core.Switch) (*solverEntry, error) {
+	release, err := c.slots.acquire(ctx)
+	if err != nil {
+		return nil, err
+	}
+	defer release()
+	e := &solverEntry{mu: make(chan struct{}, 1)}
 	switch alg {
 	case alg1:
-		c.lock()
-		var s *core.SweepSolver
-		if n := len(c.freeAlg1); n > 0 {
-			s, c.freeAlg1 = c.freeAlg1[n-1], c.freeAlg1[:n-1]
-			c.metrics.solversRecycled.Add(1)
-		} else {
-			s = &core.SweepSolver{}
-		}
-		c.unlock()
-		if err := s.Reuse(sw, c.fill); err != nil {
-			// Reuse validates before touching the lattice, so the
-			// solver is still coherent; pool it again.
-			c.lock()
-			if len(c.freeAlg1) < maxFreeSolvers {
-				c.freeAlg1 = append(c.freeAlg1, s)
-			}
-			c.unlock()
-			return nil, err
-		}
-		return &solverEntry{mu: make(chan struct{}, 1), alg: alg, sweep: s}, nil
+		e.sweep, err = refill(c, &c.freeAlg1, sw)
 	case alg2:
+		e.mva, err = refill(c, &c.freeAlg2, sw)
+	default:
+		err = fmt.Errorf("server: unknown algorithm %q", alg)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return e, nil
+}
+
+// refill fills sw's lattice in a solver taken from the free pool, or in
+// a fresh one when the pool is empty.
+func refill[T any, S interface {
+	*T
+	Reuse(core.Switch, ...core.Options) error
+}](c *solverCache, free *[]S, sw core.Switch) (S, error) {
+	c.lock()
+	var s S
+	if n := len(*free); n > 0 {
+		s, *free = (*free)[n-1], (*free)[:n-1]
+		c.metrics.solversRecycled.Add(1)
+	} else {
+		s = new(T)
+	}
+	c.unlock()
+	if err := s.Reuse(sw, c.fill); err != nil {
+		// Reuse validates before touching the lattice, so the solver is
+		// still coherent; pool it again.
 		c.lock()
-		var s *core.MVASweepSolver
-		if n := len(c.freeAlg2); n > 0 {
-			s, c.freeAlg2 = c.freeAlg2[n-1], c.freeAlg2[:n-1]
-			c.metrics.solversRecycled.Add(1)
-		} else {
-			s = &core.MVASweepSolver{}
+		if len(*free) < maxFreeSolvers {
+			*free = append(*free, s)
 		}
 		c.unlock()
-		if err := s.Reuse(sw, c.fill); err != nil {
-			c.lock()
-			if len(c.freeAlg2) < maxFreeSolvers {
-				c.freeAlg2 = append(c.freeAlg2, s)
-			}
-			c.unlock()
-			return nil, err
-		}
-		return &solverEntry{mu: make(chan struct{}, 1), alg: alg, mva: s}, nil
+		return nil, err
 	}
-	return nil, fmt.Errorf("server: unknown algorithm %q", alg)
+	return s, nil
 }
 
 // len reports the number of cached entries (not counting in-flight

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -14,9 +13,7 @@ import (
 
 // readBody reads one request body whole under the server's size cap.
 // The forwarding layer needs the raw bytes (to proxy or replicate the
-// request verbatim), so clustered handlers read first and decode from
-// the buffer; the size- and strictness-contract is identical to the
-// streaming decode path.
+// request verbatim), so handlers read first and decode from the buffer.
 func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
 	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 	data, err := io.ReadAll(r.Body)
@@ -29,20 +26,6 @@ func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, error
 		return nil, badRequest("reading body: %v", err)
 	}
 	return data, nil
-}
-
-// decodeBytes decodes an already-read JSON body with the server's
-// strictness: unknown fields rejected, trailing data rejected.
-func decodeBytes(data []byte, v any) error {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return badRequest("invalid JSON: %v", err)
-	}
-	if dec.More() {
-		return badRequest("trailing data after JSON body")
-	}
-	return nil
 }
 
 // maybeForward is the ownership check every cacheable POST handler

@@ -115,7 +115,7 @@ func (f *testFleet) post(t testing.TB, id, path string, body any, hdr map[string
 func (f *testFleet) ownerOf(t testing.TB, spec SwitchSpec) string {
 	t.Helper()
 	for _, s := range f.srvs {
-		sw, err := s.buildSwitch(spec)
+		sw, err := s.buildSwitchFor(spec, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -251,7 +251,7 @@ func TestClusterDeadPeerAtStartup(t *testing.T) {
 	found := false
 	for n := 4; n < 64 && !found; n++ {
 		spec = paperSpec(n)
-		sw, err := s.buildSwitch(spec)
+		sw, err := s.buildSwitchFor(spec, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -76,8 +76,10 @@ type Config struct {
 	// are costlier than sweep points (each may be a distinct lattice
 	// fill), so the default is smaller: 256.
 	MaxGridPoints int
-	// MaxConcurrent bounds the solves and lattice reads in flight at
-	// once (the solver semaphore). Default runtime.GOMAXPROCS(0).
+	// MaxConcurrent bounds the solves in flight at once (the solver
+	// semaphore): lattice fills, revenue-gradient re-solves and scenario
+	// evaluations. Cache hits and entry reads take no slot. Default
+	// runtime.GOMAXPROCS(0).
 	MaxConcurrent int
 	// NodeID names this node in a cluster; it must be a key of Peers.
 	// Ignored (may stay empty) when Peers is empty.

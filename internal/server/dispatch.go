@@ -99,10 +99,19 @@ func (s *Server) tryAsymptotic(sw core.Switch, opt *core.DispatchOptions) (*core
 	return nil, false, nil
 }
 
+// exactTier is the tier an exact answer names: "exact" under a
+// dispatch policy, omitted on the legacy path.
+func exactTier(opt *core.DispatchOptions) string {
+	if opt == nil {
+		return ""
+	}
+	return core.TierExact
+}
+
 // asymRevenue builds the /v1/revenue reply on the asymptotic tier:
 // revenue.AsymAnalysis in place of the lattice-backed Analysis, O(R)
 // solves per operating point.
-func asymRevenue(req RevenueRequest, sw core.Switch, step float64) (RevenueResponse, error) {
+func asymRevenue(req *RevenueRequest, sw core.Switch, step float64) (RevenueResponse, error) {
 	an, err := revenue.NewAsymptotic(sw, req.Weights)
 	if err != nil {
 		return RevenueResponse{}, unprocessable("asymptotic tier: %v", err)
@@ -125,7 +134,7 @@ func asymRevenue(req RevenueRequest, sw core.Switch, step float64) (RevenueRespo
 			GradRhoClosed: grad,
 			ErrorBound:    an.Bound(i),
 		}
-		if req.Gradients && !c.IsPoisson() && sw.MinN() >= 2 {
+		if req.gradient(sw, c) {
 			g, err := an.GradientBetaMu(i, step)
 			if err != nil {
 				return RevenueResponse{}, unprocessable("asymptotic tier: %v", err)

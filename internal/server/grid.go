@@ -4,9 +4,9 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"slices"
 
 	"xbar/internal/core"
-	"xbar/internal/grid"
 )
 
 // GridClassDelta overrides selected parameters of one base class for
@@ -43,13 +43,13 @@ type GridRequest struct {
 	Weights   []float64   `json:"weights,omitempty"`
 }
 
-// GridResult is one point of the grid reply, in request point order.
-// Blocking and Concurrency are in request class order. (No throughput
-// here: points sharing a fill may differ in mu, and blocking,
-// concurrency and W are the mu-invariant measures.) Tier is present
-// when the request carried a dispatch policy — decided per point —
-// and ErrorBound accompanies asymptotic points.
-type GridResult struct {
+// PointResult is one point of a sweep or grid reply, in request point
+// order. Blocking and Concurrency are in request class order. (No
+// throughput here: grid points sharing a fill may differ in mu, and
+// blocking, concurrency and W are the mu-invariant measures.) Tier is
+// present when the request carried a dispatch policy — decided per
+// point — and ErrorBound accompanies asymptotic points.
+type PointResult struct {
 	N1          int       `json:"n1"`
 	N2          int       `json:"n2"`
 	Tier        string    `json:"tier,omitempty"`
@@ -65,19 +65,19 @@ type GridResult struct {
 // Asymptotic counts the points the saddle-point tier answered without
 // any lattice.
 type GridResponse struct {
-	Method     string       `json:"method"`
-	Points     int          `json:"points"`
-	Models     int          `json:"models"`
-	Cached     int          `json:"cached"`
-	Asymptotic int          `json:"asymptotic,omitempty"`
-	Results    []GridResult `json:"results"`
+	Method     string        `json:"method"`
+	Points     int           `json:"points"`
+	Models     int           `json:"models"`
+	Cached     int           `json:"cached"`
+	Asymptotic int           `json:"asymptotic,omitempty"`
+	Results    []PointResult `json:"results"`
 }
 
-// applyGridPoint materializes one point's SwitchSpec. Deltas apply to
-// the spec (pre-conversion), so aggregate-units loads are re-normalized
-// against the point's own dimensions, exactly as if the client had
-// sent the materialized spec to /v1/blocking.
-func applyGridPoint(base SwitchSpec, p GridPoint) (SwitchSpec, error) {
+// gridSwitch materializes and validates one point's switch. Deltas
+// apply to the spec (pre-conversion), so aggregate-units loads are
+// re-normalized against the point's own dimensions, exactly as if the
+// client had sent the materialized spec to /v1/blocking.
+func (s *Server) gridSwitch(base SwitchSpec, p GridPoint, opt *core.DispatchOptions) (core.Switch, error) {
 	spec := base
 	if p.N1 != 0 {
 		spec.N1 = p.N1
@@ -89,7 +89,7 @@ func applyGridPoint(base SwitchSpec, p GridPoint) (SwitchSpec, error) {
 		spec.Classes = append([]ClassSpec(nil), base.Classes...)
 		for _, d := range p.Classes {
 			if d.Class < 0 || d.Class >= len(spec.Classes) {
-				return SwitchSpec{}, badRequest("class delta index %d out of range [0,%d)", d.Class, len(spec.Classes))
+				return core.Switch{}, badRequest("class delta index %d out of range [0,%d)", d.Class, len(spec.Classes))
 			}
 			c := &spec.Classes[d.Class]
 			if d.Alpha != nil {
@@ -103,7 +103,7 @@ func applyGridPoint(base SwitchSpec, p GridPoint) (SwitchSpec, error) {
 			}
 		}
 	}
-	return spec, nil
+	return s.buildSwitchFor(spec, opt)
 }
 
 // pointError prefixes a client-facing error with the offending point's
@@ -116,47 +116,61 @@ func pointError(i int, err error) error {
 	return err
 }
 
-// gridRow builds one grid response row. Like sweepRow, it copies the
-// measure slices out of the entry-owned memoized Result: the rows are
-// serialized after the entry has been unlocked and released, so views
-// into the memo would escape the entry's lifecycle.
-func gridRow(n1, n2 int, res *core.Result, weights []float64) GridResult {
-	gr := GridResult{
-		N1:          n1,
-		N2:          n2,
-		Tier:        res.Tier,
-		Blocking:    copyFloats(res.Blocking),
-		Concurrency: copyFloats(res.Concurrency),
+// pointRow builds one sweep or grid reply row. The measure slices are
+// copied out of the Result: a Result read off a cached entry shares its
+// slices with the entry's lattice memo, and rows are serialized after
+// the entry has been unlocked and released, so views would escape the
+// entry's lifecycle. (Asymptotic results own their slices, but copying
+// unconditionally keeps the escape rule simple.)
+func pointRow(sw core.Switch, res *core.Result, tier string, weights []float64) PointResult {
+	row := PointResult{
+		N1:          sw.N1,
+		N2:          sw.N2,
+		Tier:        tier,
+		Blocking:    slices.Clone(res.Blocking),
+		Concurrency: slices.Clone(res.Concurrency),
 	}
 	if res.ErrorBound != nil {
-		gr.ErrorBound = copyFloats(res.ErrorBound)
+		row.ErrorBound = slices.Clone(res.ErrorBound)
 	}
 	if weights != nil {
 		wv := res.Revenue(weights)
-		gr.W = &wv
+		row.W = &wv
 	}
-	return gr
+	return row
 }
 
-// gridGroup is one distinct canonical class set of a grid request: all
-// its points are read off one cache entry filled at the componentwise
-// maximum dimensions.
-type gridGroup struct {
-	classes []core.Class
-	n1, n2  int
-	members []int // request point indices
+// gridReply renders a sweep or grid plan: asymptotic rows straight from
+// their answers, exact rows off each group's entry through the exact
+// path. Method is the exact algorithm's ("asymptotic" when no point is
+// exact) and Cached counts the entries that were resident or in flight.
+func (s *Server) gridReply(w http.ResponseWriter, r *http.Request, pl *plan,
+	weights []float64) (resp GridResponse, done bool, err error) {
+	resp = GridResponse{Method: "asymptotic", Points: len(pl.points), Models: len(pl.groups)}
+	resp.Results = make([]PointResult, len(pl.points))
+	for i, res := range pl.asym {
+		if res != nil {
+			resp.Results[i] = pointRow(pl.points[i], res, res.Tier, weights)
+			resp.Asymptotic++
+		}
+	}
+	done, err = s.exact(w, r, pl, func(e *solverEntry, cached bool, members []int) error {
+		if cached {
+			resp.Cached++
+		}
+		for _, i := range members {
+			res := e.resultAt(pl.points[i].N1, pl.points[i].N2)
+			resp.Method = res.Method // one per algorithm, whatever the size
+			resp.Results[i] = pointRow(pl.points[i], res, exactTier(pl.opt), weights)
+		}
+		return nil
+	})
+	return resp, done, err
 }
 
 func (s *Server) handleGrid(w http.ResponseWriter, r *http.Request) error {
-	body, err := s.readBody(w, r)
-	if err != nil {
-		return err
-	}
 	var req GridRequest
-	if err := decodeBytes(body, &req); err != nil {
-		return err
-	}
-	alg, err := normalizeAlg(req.Algorithm)
+	p, err := s.begin(w, r, &req, &req.Algorithm, nil, nil)
 	if err != nil {
 		return err
 	}
@@ -167,107 +181,28 @@ func (s *Server) handleGrid(w http.ResponseWriter, r *http.Request) error {
 		return badRequest("%d grid points exceed the server limit %d", len(req.Points), s.cfg.MaxGridPoints)
 	}
 	if req.Weights != nil {
-		if len(req.Weights) != len(req.Classes) {
-			return badRequest("%d weights for %d classes", len(req.Weights), len(req.Classes))
-		}
-		for i, wt := range req.Weights {
-			if !finite(wt) {
-				return badRequest("weight %d is not finite", i)
-			}
-		}
-	}
-
-	opt, err := s.parseDispatch(req.DispatchSpec)
-	if err != nil {
-		return err
-	}
-
-	// Materialize and validate every point, then group by canonical
-	// class key: points differing only in dimensions (or in nothing the
-	// solver reads) share one entry at the group maximum. Under a
-	// dispatch policy the tier is decided per point first, and
-	// asymptotic points join no group — one huge point cannot inflate
-	// a group's fill dimensions (the grid.Engine rule).
-	points := make([]core.Switch, len(req.Points))
-	groups := make(map[string]*gridGroup)
-	var order []string
-	asymCount := 0
-	resp := GridResponse{Points: len(req.Points), Results: make([]GridResult, len(req.Points))}
-	for i, p := range req.Points {
-		spec, err := applyGridPoint(req.SwitchSpec, p)
-		if err != nil {
-			return pointError(i, err)
-		}
-		sw, err := s.buildSwitchFor(spec, opt)
-		if err != nil {
-			return pointError(i, err)
-		}
-		points[i] = sw
-		if opt != nil {
-			res, ok, err := s.tryAsymptotic(sw, opt)
-			if err != nil {
-				return pointError(i, err)
-			}
-			if ok {
-				resp.Results[i] = gridRow(sw.N1, sw.N2, res, req.Weights)
-				asymCount++
-				continue
-			}
-		}
-		ck := grid.ClassKey(sw.Classes)
-		g, ok := groups[ck]
-		if !ok {
-			g = &gridGroup{classes: sw.Classes}
-			groups[ck] = g
-			order = append(order, ck)
-		}
-		g.n1 = max(g.n1, sw.N1)
-		g.n2 = max(g.n2, sw.N2)
-		g.members = append(g.members, i)
-	}
-	resp.Models = len(order)
-	resp.Asymptotic = asymCount
-	if len(order) == 0 {
-		resp.Method = "asymptotic"
-	}
-	// Forward the whole request only when every group entry lives on
-	// one peer (maybeForward's all-same-owner rule); mixed ownership
-	// computes locally — correct, just less fleet-wide dedup.
-	if len(order) > 0 {
-		keys := make([]string, len(order))
-		for i, ck := range order {
-			g := groups[ck]
-			keys[i] = cacheKey(alg, core.Switch{N1: g.n1, N2: g.n2, Classes: g.classes})
-		}
-		if s.maybeForward(w, r, body, keys...) {
-			return nil
-		}
-	}
-	for _, ck := range order {
-		g := groups[ck]
-		groupSw := core.Switch{N1: g.n1, N2: g.n2, Classes: g.classes}
-		e, cached, err := s.withEntry(r, alg, groupSw)
-		if err != nil {
+		if err := checkWeights(req.Weights, len(req.Classes)); err != nil {
 			return err
 		}
-		if cached {
-			resp.Cached++
-		}
-		if err := e.lock(r.Context()); err != nil {
-			s.cache.release(e)
-			return overloaded(err)
-		}
-		resp.Method = e.result().Method
-		for _, i := range g.members {
-			row := gridRow(points[i].N1, points[i].N2, e.resultAt(points[i].N1, points[i].N2), req.Weights)
-			if opt != nil {
-				row.Tier = core.TierExact
-			}
-			resp.Results[i] = row
-		}
-		e.unlock()
-		s.cache.release(e)
 	}
-	s.writeJSON(w, http.StatusOK, resp)
-	return nil
+	if p.opt, err = s.parseDispatch(req.DispatchSpec); err != nil {
+		return err
+	}
+	// Materialize, validate and route every point: points differing only
+	// in dimensions (or in nothing the solver reads) share one entry at
+	// the group maximum. The whole request is forwarded only when one
+	// peer owns every group's entry; mixed ownership computes locally —
+	// correct, just less fleet-wide dedup.
+	pl := &plan{prologue: p}
+	for i, gp := range req.Points {
+		sw, err := s.gridSwitch(req.SwitchSpec, gp, p.opt)
+		if err == nil {
+			err = s.addPoint(pl, sw)
+		}
+		if err != nil {
+			return pointError(i, err)
+		}
+	}
+	resp, done, err := s.gridReply(w, r, pl, req.Weights)
+	return s.reply(w, resp, done, err)
 }

@@ -1,15 +1,19 @@
 package server
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
 	"net/http"
+	"slices"
 
 	"xbar/internal/admission"
 	"xbar/internal/core"
 	"xbar/internal/floats"
+	"xbar/internal/grid"
 	"xbar/internal/revenue"
 )
 
@@ -44,17 +48,61 @@ func badRequest(format string, args ...any) error {
 	return &apiError{code: http.StatusBadRequest, msg: fmt.Sprintf(format, args...)}
 }
 
-// buildSwitch validates a SwitchSpec against the server limits and the
-// model constraints and converts it to per-route units. Every float
-// is checked finite up front — the solvers' nanguard domain
-// preconditions (finite, validated inputs) are enforced at the edge.
-func (s *Server) buildSwitch(spec SwitchSpec) (core.Switch, error) {
-	return s.buildSwitchFor(spec, nil)
+// prologue is what every SwitchSpec endpoint derives from its request
+// before its own validation: the raw body (forwarding proxies it
+// verbatim), the normalized algorithm, the dispatch policy and the
+// validated switch.
+type prologue struct {
+	body []byte
+	alg  string
+	opt  *core.DispatchOptions
+	sw   core.Switch
 }
 
-// buildSwitchFor is buildSwitch under a dispatch policy: the
-// dimension cap follows the policy (checkDims), everything else is
-// identical.
+// begin reads the body and decodes it into req (unknown fields and
+// trailing data rejected), then normalizes alg (nil: the endpoint
+// always runs Algorithm 1), parses the dispatch spec d and builds spec,
+// in that order; nil d or spec skips the step. The first failure is
+// the reply.
+func (s *Server) begin(w http.ResponseWriter, r *http.Request,
+	req any, alg *string, d *DispatchSpec, spec *SwitchSpec) (p prologue, err error) {
+	if p.body, err = s.readBody(w, r); err != nil {
+		return p, err
+	}
+	dec := json.NewDecoder(bytes.NewReader(p.body))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(req); err != nil {
+		return p, badRequest("invalid JSON: %v", err)
+	}
+	if dec.More() {
+		return p, badRequest("trailing data after JSON body")
+	}
+	p.alg = alg1
+	if alg != nil {
+		switch *alg { // the accepted spellings of the cache's two identifiers
+		case "", alg1, "algorithm1":
+		case alg2, "algorithm2":
+			p.alg = alg2
+		default:
+			return p, badRequest("algorithm %q, want alg1 or alg2", *alg)
+		}
+	}
+	if d != nil {
+		if p.opt, err = s.parseDispatch(*d); err != nil {
+			return p, err
+		}
+	}
+	if spec != nil {
+		p.sw, err = s.buildSwitchFor(*spec, p.opt)
+	}
+	return p, err
+}
+
+// buildSwitchFor validates a SwitchSpec against the server limits under
+// a dispatch policy (the dimension cap follows the policy, checkDims)
+// and the model constraints, and converts it to per-route units. Every
+// float is checked finite up front — the solvers' nanguard domain
+// preconditions (finite, validated inputs) are enforced at the edge.
 func (s *Server) buildSwitchFor(spec SwitchSpec, opt *core.DispatchOptions) (core.Switch, error) {
 	if spec.N1 < 1 || spec.N2 < 1 {
 		return core.Switch{}, badRequest("switch dimensions %dx%d, must be >= 1x1", spec.N1, spec.N2)
@@ -101,16 +149,17 @@ func (s *Server) buildSwitchFor(spec SwitchSpec, opt *core.DispatchOptions) (cor
 
 func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 
-// normalizeAlg maps the accepted algorithm spellings onto the cache's
-// two identifiers; /v1/blocking and /v1/sweep default to Algorithm 1.
-func normalizeAlg(a string) (string, error) {
-	switch a {
-	case "", alg1, "algorithm1":
-		return alg1, nil
-	case alg2, "algorithm2":
-		return alg2, nil
+// checkWeights validates one finite revenue rate per class.
+func checkWeights(weights []float64, classes int) error {
+	if len(weights) != classes {
+		return badRequest("%d weights for %d classes", len(weights), classes)
 	}
-	return "", badRequest("algorithm %q, want alg1 or alg2", a)
+	for i, wt := range weights {
+		if !finite(wt) {
+			return badRequest("weight %d is not finite", i)
+		}
+	}
+	return nil
 }
 
 // ClassResult is one class's measures in a response, in request class
@@ -129,15 +178,6 @@ type ClassResult struct {
 	ErrorBound float64 `json:"error_bound,omitempty"`
 }
 
-// copyFloats clones one measure slice out of a solver Result. The
-// sweep layers memoize ResultAt reads, so a Result read off a cached
-// entry shares its slices with the entry's lattice memo; response
-// documents must carry copies, never views, or the data escapes the
-// entry's lock-and-release lifecycle (see gridRow).
-func copyFloats(xs []float64) []float64 {
-	return append([]float64(nil), xs...)
-}
-
 func classResults(spec SwitchSpec, res *core.Result) []ClassResult {
 	out := make([]ClassResult, len(res.Blocking))
 	for i := range out {
@@ -154,6 +194,135 @@ func classResults(spec SwitchSpec, res *core.Result) []ClassResult {
 		}
 	}
 	return out
+}
+
+// plan is one request's operating points on their way through the
+// tiers, in request point order.
+type plan struct {
+	prologue
+	points []core.Switch
+	asym   []*core.Result // the asymptotic answer by point; nil on exact points
+	groups []exactGroup
+}
+
+// exactGroup is one canonical class set (grid.ClassKey) among a
+// request's exact points: every member is read off one cache entry,
+// filled at the members' componentwise maximum dimensions.
+type exactGroup struct {
+	key     string
+	sw      core.Switch
+	members []int // point indices
+}
+
+// addPoint decides one point's tier. Under a dispatch policy an
+// asymptotic answer is kept and the point joins no group, so one huge
+// point cannot inflate a group's fill (the grid.Engine rule); every
+// other point joins its class group, which keeps the first member's
+// classes and so its cache key.
+func (s *Server) addPoint(pl *plan, sw core.Switch) error {
+	res, ok, err := s.tryAsymptotic(sw, pl.opt)
+	if err != nil {
+		return err
+	}
+	i := len(pl.points)
+	pl.points, pl.asym = append(pl.points, sw), append(pl.asym, res)
+	if ok {
+		return nil
+	}
+	key := grid.ClassKey(sw.Classes)
+	for j := range pl.groups {
+		if g := &pl.groups[j]; g.key == key {
+			g.sw.N1, g.sw.N2 = max(g.sw.N1, sw.N1), max(g.sw.N2, sw.N2)
+			g.members = append(g.members, i)
+			return nil
+		}
+	}
+	pl.groups = append(pl.groups, exactGroup{key: key, sw: sw, members: []int{i}})
+	return nil
+}
+
+// exact is the one exact path of the SwitchSpec endpoints. The whole
+// request is forwarded when one peer owns every group's entry
+// (maybeForward; done reports that the peer's reply is written).
+// Otherwise each group's entry is resolved, locked, handed to read
+// with its member indices, unlocked and released: one entry at a time,
+// in group order. A request with no exact point touches no entry.
+func (s *Server) exact(w http.ResponseWriter, r *http.Request, pl *plan,
+	read func(e *solverEntry, cached bool, members []int) error) (done bool, err error) {
+	keys := make([]string, len(pl.groups))
+	for i, g := range pl.groups {
+		keys[i] = cacheKey(pl.alg, g.sw)
+	}
+	if s.maybeForward(w, r, pl.body, keys...) {
+		return true, nil
+	}
+	for _, g := range pl.groups {
+		if err := s.readEntry(r.Context(), pl.alg, g, read); err != nil {
+			return false, err
+		}
+	}
+	return false, nil
+}
+
+// readEntry resolves one group's entry (a fill on a miss), locks it and
+// reads it. The unlock and release are deferred so that they also run
+// when read panics (a revenue gradient's out-of-domain re-solve).
+func (s *Server) readEntry(ctx context.Context, alg string, g exactGroup,
+	read func(e *solverEntry, cached bool, members []int) error) error {
+	e, cached, err := s.cache.get(ctx, alg, g.sw)
+	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+		return overloaded(err)
+	}
+	if err != nil {
+		return unprocessable("%v", err)
+	}
+	defer s.cache.release(e)
+	if err := e.lock(ctx); err != nil {
+		return overloaded(err)
+	}
+	defer e.unlock()
+	return read(e, cached, g.members)
+}
+
+// answer is a single-point request's answer: the asymptotic result (e
+// nil), or the exact point's locked entry and its result.
+type answer struct {
+	res    *core.Result
+	tier   string // as the reply names it; empty on the legacy exact path
+	e      *solverEntry
+	cached bool
+}
+
+// servePoint runs a single-point request through the exact path and
+// hands its answer to read.
+func (s *Server) servePoint(w http.ResponseWriter, r *http.Request, p prologue,
+	read func(answer) error) (done bool, err error) {
+	pl := &plan{prologue: p}
+	if err := s.addPoint(pl, p.sw); err != nil {
+		return false, err
+	}
+	if res := pl.asym[0]; res != nil {
+		return false, read(answer{res: res, tier: res.Tier})
+	}
+	return s.exact(w, r, pl, func(e *solverEntry, cached bool, _ []int) error {
+		return read(answer{res: e.resultAt(p.sw.N1, p.sw.N2), tier: exactTier(p.opt), e: e, cached: cached})
+	})
+}
+
+// reply writes resp as the 200 reply unless the exact path failed or
+// already answered by forwarding.
+func (s *Server) reply(w http.ResponseWriter, resp any, done bool, err error) error {
+	if done || err != nil {
+		return err
+	}
+	s.writeJSON(w, http.StatusOK, resp)
+	return nil
+}
+
+// overloaded maps context expiry (solver slot, in-flight fill or
+// entry-lock wait) onto 503 so load balancers retry elsewhere.
+func overloaded(err error) error {
+	return &apiError{code: http.StatusServiceUnavailable, msg: fmt.Sprintf("overloaded: %v", err)}
 }
 
 // BlockingRequest is the POST /v1/blocking body.
@@ -178,65 +347,25 @@ type BlockingResponse struct {
 }
 
 func (s *Server) handleBlocking(w http.ResponseWriter, r *http.Request) error {
-	body, err := s.readBody(w, r)
-	if err != nil {
-		return err
-	}
 	var req BlockingRequest
-	if err := decodeBytes(body, &req); err != nil {
-		return err
-	}
-	alg, err := normalizeAlg(req.Algorithm)
+	p, err := s.begin(w, r, &req, &req.Algorithm, &req.DispatchSpec, &req.SwitchSpec)
 	if err != nil {
 		return err
 	}
-	opt, err := s.parseDispatch(req.DispatchSpec)
-	if err != nil {
-		return err
-	}
-	sw, err := s.buildSwitchFor(req.SwitchSpec, opt)
-	if err != nil {
-		return err
-	}
-	if res, ok, err := s.tryAsymptotic(sw, opt); err != nil {
-		return err
-	} else if ok {
-		s.writeJSON(w, http.StatusOK, BlockingResponse{
-			N1: sw.N1, N2: sw.N2,
-			Method:      res.Method,
-			Tier:        res.Tier,
-			LogG:        res.LogG,
-			Utilization: res.Utilization(),
-			Classes:     classResults(req.SwitchSpec, res),
-		})
+	var resp BlockingResponse
+	done, err := s.servePoint(w, r, p, func(a answer) error {
+		resp = BlockingResponse{
+			N1: p.sw.N1, N2: p.sw.N2,
+			Method:      a.res.Method,
+			Tier:        a.tier,
+			LogG:        a.res.LogG,
+			Utilization: a.res.Utilization(),
+			Cached:      a.cached,
+			Classes:     classResults(req.SwitchSpec, a.res),
+		}
 		return nil
-	}
-	if s.maybeForward(w, r, body, cacheKey(alg, sw)) {
-		return nil
-	}
-	e, cached, err := s.withEntry(r, alg, sw)
-	if err != nil {
-		return err
-	}
-	defer s.cache.release(e)
-	if err := e.lock(r.Context()); err != nil {
-		return overloaded(err)
-	}
-	res := e.result()
-	resp := BlockingResponse{
-		N1: sw.N1, N2: sw.N2,
-		Method:      res.Method,
-		LogG:        res.LogG,
-		Utilization: res.Utilization(),
-		Cached:      cached,
-		Classes:     classResults(req.SwitchSpec, res),
-	}
-	if opt != nil {
-		resp.Tier = core.TierExact
-	}
-	e.unlock()
-	s.writeJSON(w, http.StatusOK, resp)
-	return nil
+	})
+	return s.reply(w, resp, done, err)
 }
 
 // RevenueRequest is the POST /v1/revenue body. Weights must carry one
@@ -250,6 +379,12 @@ type RevenueRequest struct {
 	Weights   []float64 `json:"weights"`
 	Gradients bool      `json:"gradients,omitempty"`
 	Step      float64   `json:"step,omitempty"`
+}
+
+// gradient reports whether class c gets the numerical dW/d(beta/mu):
+// requested, bursty, and on a switch large enough to difference.
+func (req *RevenueRequest) gradient(sw core.Switch, c core.Class) bool {
+	return req.Gradients && !c.IsPoisson() && sw.MinN() >= 2
 }
 
 // ClassRevenue is one class's revenue measures.
@@ -278,29 +413,14 @@ type RevenueResponse struct {
 }
 
 func (s *Server) handleRevenue(w http.ResponseWriter, r *http.Request) error {
-	body, err := s.readBody(w, r)
-	if err != nil {
-		return err
-	}
 	var req RevenueRequest
-	if err := decodeBytes(body, &req); err != nil {
-		return err
-	}
-	opt, err := s.parseDispatch(req.DispatchSpec)
+	p, err := s.begin(w, r, &req, nil, &req.DispatchSpec, &req.SwitchSpec)
 	if err != nil {
 		return err
 	}
-	sw, err := s.buildSwitchFor(req.SwitchSpec, opt)
-	if err != nil {
+	sw := p.sw
+	if err := checkWeights(req.Weights, len(sw.Classes)); err != nil {
 		return err
-	}
-	if len(req.Weights) != len(sw.Classes) {
-		return badRequest("%d weights for %d classes", len(req.Weights), len(sw.Classes))
-	}
-	for i, wt := range req.Weights {
-		if !finite(wt) {
-			return badRequest("weight %d is not finite", i)
-		}
 	}
 	step := req.Step
 	if floats.Zero(step) {
@@ -309,54 +429,47 @@ func (s *Server) handleRevenue(w http.ResponseWriter, r *http.Request) error {
 	if !finite(step) || step <= 0 || step > 0.1 {
 		return badRequest("step %v, want 0 < step <= 0.1", req.Step)
 	}
-	if _, ok, err := s.tryAsymptotic(sw, opt); err != nil {
-		return err
-	} else if ok {
-		resp, err := asymRevenue(req, sw, step)
-		if err != nil {
+	var resp RevenueResponse
+	done, err := s.servePoint(w, r, p, func(a answer) (err error) {
+		if a.e == nil {
+			resp, err = asymRevenue(&req, sw, step)
 			return err
 		}
-		s.writeJSON(w, http.StatusOK, resp)
-		return nil
-	}
-	if s.maybeForward(w, r, body, cacheKey(alg1, sw)) {
-		return nil
-	}
-	// Revenue rides the Algorithm 1 cache: the analysis's in-lattice
-	// reads and gradient re-solves run on the scaled lattice.
-	e, cached, err := s.withEntry(r, alg1, sw)
-	if err != nil {
-		return err
-	}
-	defer s.cache.release(e)
-	if err := e.lock(r.Context()); err != nil {
-		return overloaded(err)
-	}
-	defer e.unlock()
-	an, err := revenue.NewWithSweep(e.sweep, req.Weights, s.cfg.fillOptions())
-	if err != nil {
-		return badRequest("%v", err)
-	}
-	resp := RevenueResponse{N1: sw.N1, N2: sw.N2, W: an.W(), Cached: cached}
-	if opt != nil {
-		resp.Tier = core.TierExact
-	}
-	for i, c := range sw.Classes {
-		cr := ClassRevenue{
-			Name:          req.Classes[i].Name,
-			Weight:        req.Weights[i],
-			ShadowCost:    an.ShadowCost(i),
-			Profitable:    an.Profitable(i),
-			GradRhoClosed: an.GradientRhoClosed(i),
+		// Revenue rides the Algorithm 1 cache: the analysis's in-lattice
+		// reads run on the entry; its gradient re-solves are lattice
+		// fills of their own and hold a solver slot. The slot is taken
+		// under the entry lock, never the other way round: a slot
+		// holder never waits for an entry lock, so the two cannot
+		// deadlock.
+		an, err := revenue.NewWithSweep(a.e.sweep, req.Weights, s.cfg.fillOptions())
+		if err != nil {
+			return badRequest("%v", err)
 		}
-		if req.Gradients && !c.IsPoisson() && sw.MinN() >= 2 {
-			g := an.GradientBetaMu(i, step)
-			cr.GradBetaMu = &g
+		if slices.ContainsFunc(sw.Classes, func(c core.Class) bool { return req.gradient(sw, c) }) {
+			release, err := s.sem.acquire(r.Context())
+			if err != nil {
+				return overloaded(err)
+			}
+			defer release()
 		}
-		resp.Classes = append(resp.Classes, cr)
-	}
-	s.writeJSON(w, http.StatusOK, resp)
-	return nil
+		resp = RevenueResponse{N1: sw.N1, N2: sw.N2, W: an.W(), Tier: a.tier, Cached: a.cached}
+		for i, c := range sw.Classes {
+			cr := ClassRevenue{
+				Name:          req.Classes[i].Name,
+				Weight:        req.Weights[i],
+				ShadowCost:    an.ShadowCost(i),
+				Profitable:    an.Profitable(i),
+				GradRhoClosed: an.GradientRhoClosed(i),
+			}
+			if req.gradient(sw, c) {
+				g := an.GradientBetaMu(i, step)
+				cr.GradBetaMu = &g
+			}
+			resp.Classes = append(resp.Classes, cr)
+		}
+		return nil
+	})
+	return s.reply(w, resp, done, err)
 }
 
 // AdmissionRequest is the POST /v1/admission body: should a class-r
@@ -394,22 +507,12 @@ type AdmissionResponse struct {
 }
 
 func (s *Server) handleAdmission(w http.ResponseWriter, r *http.Request) error {
-	body, err := s.readBody(w, r)
-	if err != nil {
-		return err
-	}
 	var req AdmissionRequest
-	if err := decodeBytes(body, &req); err != nil {
-		return err
-	}
-	opt, err := s.parseDispatch(req.DispatchSpec)
+	p, err := s.begin(w, r, &req, nil, &req.DispatchSpec, &req.SwitchSpec)
 	if err != nil {
 		return err
 	}
-	sw, err := s.buildSwitchFor(req.SwitchSpec, opt)
-	if err != nil {
-		return err
-	}
+	sw := p.sw
 	if req.Class < 0 || req.Class >= len(sw.Classes) {
 		return badRequest("class %d of %d", req.Class, len(sw.Classes))
 	}
@@ -418,56 +521,31 @@ func (s *Server) handleAdmission(w http.ResponseWriter, r *http.Request) error {
 		if len(req.Weights) != len(sw.Classes) {
 			return badRequest("profitability policy wants %d weights, got %d", len(sw.Classes), len(req.Weights))
 		}
-		for i, wt := range req.Weights {
-			if !finite(wt) {
-				return badRequest("weight %d is not finite", i)
-			}
-		}
-		if _, ok, err := s.tryAsymptotic(sw, opt); err != nil {
-			return err
-		} else if ok {
-			an, err := revenue.NewAsymptotic(sw, req.Weights)
-			if err != nil {
-				return unprocessable("asymptotic tier: %v", err)
-			}
-			shadow, err := an.ShadowCost(req.Class)
-			if err != nil {
-				return unprocessable("asymptotic tier: %v", err)
-			}
-			s.writeJSON(w, http.StatusOK, AdmissionResponse{
-				Accept: req.Weights[req.Class] > shadow, Policy: "profitability", Class: req.Class,
-				Tier: core.TierAsymptotic, Weight: &req.Weights[req.Class], ShadowCost: &shadow,
-			})
-			return nil
-		}
-		if s.maybeForward(w, r, body, cacheKey(alg1, sw)) {
-			return nil
-		}
-		e, cached, err := s.withEntry(r, alg1, sw)
-		if err != nil {
+		if err := checkWeights(req.Weights, len(sw.Classes)); err != nil {
 			return err
 		}
-		defer s.cache.release(e)
-		if err := e.lock(r.Context()); err != nil {
-			return overloaded(err)
-		}
-		an, err := revenue.NewWithSweep(e.sweep, req.Weights)
-		if err != nil {
-			e.unlock()
-			return badRequest("%v", err)
-		}
-		shadow := an.ShadowCost(req.Class)
-		accept := an.Profitable(req.Class)
-		e.unlock()
-		resp := AdmissionResponse{
-			Accept: accept, Policy: "profitability", Class: req.Class,
-			Weight: &req.Weights[req.Class], ShadowCost: &shadow, Cached: cached,
-		}
-		if opt != nil {
-			resp.Tier = core.TierExact
-		}
-		s.writeJSON(w, http.StatusOK, resp)
-		return nil
+		resp := AdmissionResponse{Policy: "profitability", Class: req.Class, Weight: &req.Weights[req.Class]}
+		done, err := s.servePoint(w, r, p, func(a answer) error {
+			var shadow float64
+			if a.e == nil {
+				an, err := revenue.NewAsymptotic(sw, req.Weights)
+				if err != nil {
+					return unprocessable("asymptotic tier: %v", err)
+				}
+				if shadow, err = an.ShadowCost(req.Class); err != nil {
+					return unprocessable("asymptotic tier: %v", err)
+				}
+			} else {
+				an, err := revenue.NewWithSweep(a.e.sweep, req.Weights)
+				if err != nil {
+					return badRequest("%v", err)
+				}
+				shadow = an.ShadowCost(req.Class)
+			}
+			resp.Accept, resp.Tier, resp.ShadowCost, resp.Cached = req.Weights[req.Class] > shadow, a.tier, &shadow, a.cached
+			return nil
+		})
+		return s.reply(w, resp, done, err)
 	case "reservation":
 		if len(req.Limits) != len(sw.Classes) {
 			return badRequest("reservation policy wants %d limits, got %d", len(sw.Classes), len(req.Limits))
@@ -484,14 +562,14 @@ func (s *Server) handleAdmission(w http.ResponseWriter, r *http.Request) error {
 				return badRequest("state[%d] = %d is negative", i, k)
 			}
 		}
-		if occ := sw.OccupancyOf(state); occ > sw.MinN() {
+		occ := sw.OccupancyOf(state)
+		if occ > sw.MinN() {
 			return badRequest("state occupies %d of %d ports", occ, sw.MinN())
 		}
 		policy, err := admission.TrunkReservation(sw, req.Limits)
 		if err != nil {
 			return badRequest("%v", err)
 		}
-		occ := sw.OccupancyOf(state)
 		// The policy admits within the reservation limit; port
 		// contention still rejects when the switch itself is full.
 		accept := policy(state, req.Class) && occ+sw.Classes[req.Class].A <= sw.MinN()
@@ -523,51 +601,28 @@ type SweepRequest struct {
 	Weights   []float64    `json:"weights,omitempty"`
 }
 
-// SweepResult is one point of the sweep reply. Blocking and
-// Concurrency are in request class order. Tier is present when the
-// request carried a dispatch policy — the decision is per point, so
-// one sweep can mix exact small sizes with asymptotic large ones —
-// and ErrorBound accompanies asymptotic points.
-type SweepResult struct {
-	N1          int       `json:"n1"`
-	N2          int       `json:"n2"`
-	Tier        string    `json:"tier,omitempty"`
-	Blocking    []float64 `json:"blocking"`
-	Concurrency []float64 `json:"concurrency"`
-	ErrorBound  []float64 `json:"error_bound,omitempty"`
-	W           *float64  `json:"w,omitempty"`
-}
-
-// SweepResponse is the POST /v1/sweep reply.
+// SweepResponse is the POST /v1/sweep reply. Each result's tier is
+// decided per point, so one sweep can mix exact small sizes with
+// asymptotic large ones.
 type SweepResponse struct {
 	N1      int           `json:"n1"`
 	N2      int           `json:"n2"`
 	Method  string        `json:"method"`
 	Cached  bool          `json:"cached"`
-	Results []SweepResult `json:"results"`
+	Results []PointResult `json:"results"`
 }
 
+// handleSweep serves a sweep as a one-group grid: every sub-switch
+// carries the full switch's per-route classes, so its exact points
+// share one entry — at their maximum dimensions under a dispatch
+// policy, at the full switch without one.
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) error {
-	body, err := s.readBody(w, r)
-	if err != nil {
-		return err
-	}
 	var req SweepRequest
-	if err := decodeBytes(body, &req); err != nil {
-		return err
-	}
-	alg, err := normalizeAlg(req.Algorithm)
+	p, err := s.begin(w, r, &req, &req.Algorithm, &req.DispatchSpec, &req.SwitchSpec)
 	if err != nil {
 		return err
 	}
-	opt, err := s.parseDispatch(req.DispatchSpec)
-	if err != nil {
-		return err
-	}
-	sw, err := s.buildSwitchFor(req.SwitchSpec, opt)
-	if err != nil {
-		return err
-	}
+	sw := p.sw
 	points := req.Points
 	if len(points) == 0 {
 		points = make([]SweepPoint, sw.MinN())
@@ -578,133 +633,28 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) error {
 	if len(points) > s.cfg.MaxSweepPoints {
 		return badRequest("%d sweep points exceed the server limit %d", len(points), s.cfg.MaxSweepPoints)
 	}
-	for _, p := range points {
-		if p.N1 < 1 || p.N2 < 1 || p.N1 > sw.N1 || p.N2 > sw.N2 {
-			return badRequest("sweep point %dx%d outside the %dx%d lattice", p.N1, p.N2, sw.N1, sw.N2)
+	for _, pt := range points {
+		if pt.N1 < 1 || pt.N2 < 1 || pt.N1 > sw.N1 || pt.N2 > sw.N2 {
+			return badRequest("sweep point %dx%d outside the %dx%d lattice", pt.N1, pt.N2, sw.N1, sw.N2)
 		}
 	}
 	if req.Weights != nil {
-		if len(req.Weights) != len(sw.Classes) {
-			return badRequest("%d weights for %d classes", len(req.Weights), len(sw.Classes))
-		}
-		for i, wt := range req.Weights {
-			if !finite(wt) {
-				return badRequest("weight %d is not finite", i)
-			}
+		if err := checkWeights(req.Weights, len(sw.Classes)); err != nil {
+			return err
 		}
 	}
-	// Dispatch is decided per point: points the expansion answers
-	// within tolerance never touch the lattice, and — as in the grid
-	// engine — they do not inflate the fill, which runs at the maximum
-	// dimensions of the exact-routed points only.
-	var asym []*core.Result
-	entrySw := sw
-	if opt != nil {
-		asym = make([]*core.Result, len(points))
-		emax1, emax2 := 0, 0
-		for i, p := range points {
-			sub := core.Switch{N1: p.N1, N2: p.N2, Classes: sw.Classes}
-			res, ok, err := s.tryAsymptotic(sub, opt)
-			if err != nil {
-				return fmt.Errorf("sweep point %dx%d: %w", p.N1, p.N2, err)
-			}
-			if ok {
-				asym[i] = res
-				continue
-			}
-			emax1, emax2 = max(emax1, p.N1), max(emax2, p.N2)
+	pl := &plan{prologue: p}
+	for _, pt := range points {
+		if err := s.addPoint(pl, core.Switch{N1: pt.N1, N2: pt.N2, Classes: sw.Classes}); err != nil {
+			return err
 		}
-		if emax1 == 0 {
-			// Every point went asymptotic: no lattice, no cache entry.
-			resp := SweepResponse{N1: sw.N1, N2: sw.N2, Method: "asymptotic", Results: make([]SweepResult, len(points))}
-			for i, p := range points {
-				resp.Results[i] = sweepRow(p.N1, p.N2, asym[i], req.Weights)
-			}
-			s.writeJSON(w, http.StatusOK, resp)
-			return nil
-		}
-		entrySw = core.Switch{N1: emax1, N2: emax2, Classes: sw.Classes}
 	}
-	if s.maybeForward(w, r, body, cacheKey(alg, entrySw)) {
-		return nil
+	if pl.opt == nil {
+		pl.groups[0].sw = sw
 	}
-	e, cached, err := s.withEntry(r, alg, entrySw)
-	if err != nil {
-		return err
-	}
-	defer s.cache.release(e)
-	if err := e.lock(r.Context()); err != nil {
-		return overloaded(err)
-	}
-	defer e.unlock()
-	resp := SweepResponse{N1: sw.N1, N2: sw.N2, Cached: cached, Results: make([]SweepResult, len(points))}
-	resp.Method = e.result().Method
-	for i, p := range points {
-		if asym != nil && asym[i] != nil {
-			resp.Results[i] = sweepRow(p.N1, p.N2, asym[i], req.Weights)
-			continue
-		}
-		row := sweepRow(p.N1, p.N2, e.resultAt(p.N1, p.N2), req.Weights)
-		if opt != nil {
-			row.Tier = core.TierExact
-		}
-		resp.Results[i] = row
-	}
-	s.writeJSON(w, http.StatusOK, resp)
-	return nil
-}
-
-// sweepRow builds one sweep response row. The measure slices are
-// copied out of the (entry-owned, memoized) Result so the row stays
-// valid after the entry is unlocked and released. (Asymptotic results
-// own their slices, but copying unconditionally keeps the escape rule
-// simple.)
-func sweepRow(n1, n2 int, res *core.Result, weights []float64) SweepResult {
-	sr := SweepResult{
-		N1:          n1,
-		N2:          n2,
-		Tier:        res.Tier,
-		Blocking:    copyFloats(res.Blocking),
-		Concurrency: copyFloats(res.Concurrency),
-	}
-	if res.ErrorBound != nil {
-		sr.ErrorBound = copyFloats(res.ErrorBound)
-	}
-	if weights != nil {
-		wv := res.Revenue(weights)
-		sr.W = &wv
-	}
-	return sr
-}
-
-// withEntry acquires a solver slot and resolves the cache entry for
-// the operating point. The slot is released before returning: the
-// semaphore bounds concurrent lattice fills (the CPU-heavy part),
-// while entry reads are serialized per entry by the entry lock.
-func (s *Server) withEntry(r *http.Request, alg string, sw core.Switch) (*solverEntry, bool, error) {
-	release, err := s.acquire(r.Context())
-	if err != nil {
-		return nil, false, overloaded(err)
-	}
-	defer release()
-	e, cached, err := s.cache.get(r.Context(), alg, sw)
-	if err != nil {
-		var api *apiError
-		if errors.As(err, &api) {
-			return nil, false, err
-		}
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			return nil, false, overloaded(err)
-		}
-		return nil, false, &apiError{code: http.StatusUnprocessableEntity, msg: err.Error()}
-	}
-	return e, cached, nil
-}
-
-// overloaded maps context expiry (semaphore or entry-lock wait) onto
-// 503 so load balancers retry elsewhere.
-func overloaded(err error) error {
-	return &apiError{code: http.StatusServiceUnavailable, msg: fmt.Sprintf("overloaded: %v", err)}
+	g, done, err := s.gridReply(w, r, pl, req.Weights)
+	resp := SweepResponse{N1: sw.N1, N2: sw.N2, Method: g.Method, Cached: g.Cached > 0, Results: g.Results}
+	return s.reply(w, resp, done, err)
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) error {

@@ -186,23 +186,19 @@ func (s *Server) handleScenario(w http.ResponseWriter, r *http.Request) error {
 	// excludes the measure filter), so requests differing only in their
 	// filter share an entry; the filter applies on the way out.
 	full, cached, err := s.scCache.get(r.Context(), spec.Key(), func() (*scenario.Result, error) {
-		release, err := s.acquire(r.Context())
+		release, err := s.sem.acquire(r.Context())
 		if err != nil {
-			return nil, overloaded(err)
+			return nil, err
 		}
 		defer release()
 		fullSpec := *spec
 		fullSpec.Measures = nil
 		return s.scenario.Evaluate(&fullSpec)
 	})
+	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+		return overloaded(err)
+	}
 	if err != nil {
-		var api *apiError
-		if errors.As(err, &api) {
-			return err
-		}
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			return overloaded(err)
-		}
 		return s.scenarioError(w, err)
 	}
 

@@ -28,7 +28,7 @@ type Server struct {
 	scenario *scenario.Engine
 	scCache  *scenarioCache
 	cluster  *cluster.Cluster // nil when cfg.Peers is empty
-	sem      chan struct{}
+	sem      slots
 	now      func() time.Time
 
 	// ready flips once ring membership is initialized (end of New);
@@ -62,10 +62,11 @@ func New(cfg Config) (*Server, error) {
 		return nil, err
 	}
 	m := newMetrics(endpointNames...)
+	sem := make(slots, cfg.MaxConcurrent)
 	s := &Server{
 		cfg:     cfg,
 		metrics: m,
-		cache:   newSolverCache(cfg.CacheSize, cfg.fillOptions(), m),
+		cache:   newSolverCache(cfg.CacheSize, cfg.fillOptions(), sem, m),
 		// The scenario engine runs memo-less: the server-side result
 		// cache (LRU + single-flight) is the memo, and caching twice
 		// would pin every evicted result forever.
@@ -75,7 +76,7 @@ func New(cfg Config) (*Server, error) {
 			Grid:   grid.Options{Workers: cfg.Workers, Tile: cfg.Tile},
 		}),
 		scCache: newScenarioCache(cfg.ScenarioCacheSize, m),
-		sem:     make(chan struct{}, cfg.MaxConcurrent),
+		sem:     sem,
 		now:     time.Now, //lint:allow detrand wall-clock latency metrics; the analytical engine itself stays clock-free
 	}
 	if len(cfg.Peers) > 0 {
@@ -202,11 +203,17 @@ func (s *Server) writeError(w http.ResponseWriter, code int, msg string) {
 	s.writeJSON(w, code, map[string]string{"error": msg})
 }
 
-// acquire claims a solver slot, giving up when ctx expires.
-func (s *Server) acquire(ctx context.Context) (release func(), err error) {
+// slots is the solver semaphore. A slot is held only while a solve
+// runs: a lattice fill (the miss that leads a flight), a revenue
+// gradient's re-solves, a scenario evaluation. Cache hits, waits on
+// another request's fill and entry reads never take one.
+type slots chan struct{}
+
+// acquire claims a slot, giving up when ctx expires.
+func (sl slots) acquire(ctx context.Context) (release func(), err error) {
 	select {
-	case s.sem <- struct{}{}:
-		return func() { <-s.sem }, nil
+	case sl <- struct{}{}:
+		return func() { <-sl }, nil
 	case <-ctx.Done():
 		return nil, ctx.Err()
 	}

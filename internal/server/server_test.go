@@ -620,6 +620,55 @@ func TestEntryLockTimeout(t *testing.T) {
 	}
 }
 
+// TestSolverSlotsOnlyForSolves pins who holds a solver slot: with
+// every slot taken, cache hits and in-lattice revenue reads still
+// answer, while a revenue request whose gradients need re-solves, and
+// a miss that needs a fill, wait for a slot and turn into 503 once
+// RequestTimeout expires.
+func TestSolverSlotsOnlyForSolves(t *testing.T) {
+	const timeout = 100 * time.Millisecond
+	s, ts := newTestServer(t, Config{MaxConcurrent: 2, RequestTimeout: timeout})
+	spec := SwitchSpec{N1: 8, N2: 8, Classes: []ClassSpec{
+		{Name: "narrow", A: 1, Alpha: 0.0024, Mu: 1},
+		{Name: "wide", A: 2, Alpha: 0.0012, Beta: 0.0004, Mu: 0.5},
+	}}
+	weights := []float64{1, 0.2}
+	if code := postJSON(t, ts, "/v1/blocking", BlockingRequest{SwitchSpec: spec}, nil); code != http.StatusOK {
+		t.Fatalf("priming status %d", code)
+	}
+	for i := 0; i < cap(s.sem); i++ {
+		s.sem <- struct{}{}
+	}
+	defer func() {
+		for i := 0; i < cap(s.sem); i++ {
+			<-s.sem
+		}
+	}()
+
+	var hit BlockingResponse
+	if code := postJSON(t, ts, "/v1/blocking", BlockingRequest{SwitchSpec: spec}, &hit); code != http.StatusOK || !hit.Cached {
+		t.Errorf("cached blocking with every slot held: status %d cached %v, want 200 from the cache", code, hit.Cached)
+	}
+	if code := postJSON(t, ts, "/v1/revenue", RevenueRequest{SwitchSpec: spec, Weights: weights}, nil); code != http.StatusOK {
+		t.Errorf("cached revenue without gradients: status %d, want 200", code)
+	}
+	for _, tc := range []struct {
+		name, path string
+		body       any
+	}{
+		{"gradient re-solves", "/v1/revenue", RevenueRequest{SwitchSpec: spec, Weights: weights, Gradients: true}},
+		{"miss fill", "/v1/blocking", BlockingRequest{SwitchSpec: paperSpec(9)}},
+	} {
+		start := time.Now()
+		if code := postJSON(t, ts, tc.path, tc.body, nil); code != http.StatusServiceUnavailable {
+			t.Errorf("%s with every slot held: status %d, want 503", tc.name, code)
+		}
+		if waited := time.Since(start); waited < timeout {
+			t.Errorf("%s answered after %v, before the %v RequestTimeout", tc.name, waited, timeout)
+		}
+	}
+}
+
 // TestLifecycle runs the daemon path over real TCP: Start on port 0,
 // Run, healthz and a solve over the wire, pprof on the debug mux,
 // then a context cancel must drain cleanly.

@@ -3,8 +3,10 @@
 # job): build it, start it, wait for readiness on /readyz (bounded by
 # a deadline), hit /healthz, check /v1/blocking against the committed
 # results/figure1.csv value to 1e-9, run two scenario specs through
-# /v1/scenario (plus its 422 contract), scrape /metrics, then SIGTERM
-# and require a clean drain with exit code 0.
+# /v1/scenario (plus its 422 contract), scrape /metrics, post one
+# /v1/revenue, /v1/admission, /v1/sweep and /v1/grid request with a
+# structural check each, then SIGTERM and require a clean drain with
+# exit code 0.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -104,6 +106,39 @@ grep -q '"misses":1' "$WORK/metrics.json"
 grep -q '"requests":2' "$WORK/metrics.json"
 grep -q '"scenario_cache":{"hits":1,"misses":2' "$WORK/metrics.json"
 echo "smoke: /metrics ok"
+
+# The remaining POST endpoints, one request each over real TCP: HTTP
+# 200 plus one structural fact of the reply.
+post() { # path body out
+    local code
+    code="$(curl -sS -o "$3" -w '%{http_code}' -X POST -d "$2" "$BASE$1")"
+    if [ "$code" != "200" ]; then
+        echo "smoke: $1 returned HTTP $code, want 200: $(cat "$3")" >&2
+        exit 1
+    fi
+}
+# count key file: occurrences of a JSON key in a reply.
+count() { grep -o "$1" "$2" | wc -l | tr -d ' '; }
+TWO='"n1":16,"n2":16,"classes":[{"name":"smooth","a":1,"alpha":0.0024,"mu":1},{"name":"wide","a":2,"alpha":0.0012,"beta":0.0004,"mu":1}]'
+post /v1/revenue "{$TWO,\"weights\":[1,0.2]}" "$WORK/revenue.json"
+if [ "$(count '"shadow_cost"' "$WORK/revenue.json")" != 2 ]; then
+    echo "smoke: /v1/revenue reply lacks one row per class: $(cat "$WORK/revenue.json")" >&2
+    exit 1
+fi
+post /v1/admission "{$TWO,\"class\":1,\"weights\":[1,0.2]}" "$WORK/admission.json"
+grep -q '"accept":' "$WORK/admission.json"
+post /v1/sweep "{$TWO,\"points\":[{\"n1\":4,\"n2\":4},{\"n1\":8,\"n2\":12},{\"n1\":16,\"n2\":16}]}" "$WORK/sweep.json"
+if [ "$(count '"blocking"' "$WORK/sweep.json")" != 3 ]; then
+    echo "smoke: /v1/sweep reply lacks one result per point: $(cat "$WORK/sweep.json")" >&2
+    exit 1
+fi
+# Per-route units: the second point only resizes the base model and
+# shares its fill, the third moves a load, so the batch reduces to two
+# lattice fills.
+ROUTE='"n1":16,"n2":16,"units":"route","classes":[{"a":1,"alpha":0.0024,"mu":1},{"a":2,"alpha":0.0012,"beta":0.0004,"mu":1}]'
+post /v1/grid "{$ROUTE,\"points\":[{},{\"n1\":8,\"n2\":8},{\"classes\":[{\"class\":0,\"alpha\":0.0048}]}]}" "$WORK/grid.json"
+grep -q '"models":2' "$WORK/grid.json"
+echo "smoke: /v1/revenue, /v1/admission, /v1/sweep, /v1/grid ok"
 
 kill -TERM "$PID"
 rc=0

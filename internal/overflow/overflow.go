@@ -234,12 +234,23 @@ func Run(cfg Config) (*Result, error) {
 	return res, nil
 }
 
+// FitOverflow is the BPP source fitted to an overflow stream's measured
+// (mean, Z). Overflow traffic is peaky (Wilkinson: Z >= 1), so a
+// measured Z below 1 is sampling noise of a finite run; its smooth fit
+// would be a Bernoulli source whose population -alpha/beta is in
+// general not an integer, which dist rejects. Such a Z is taken as 1,
+// the Poisson fit at the boundary of the peaky family; Z >= 1 fits as
+// measured.
+func FitOverflow(mean, z, mu float64) (dist.BPP, error) {
+	return dist.FitMeanPeakedness(mean, max(z, 1), mu)
+}
+
 // SecondaryBPPApprox analyzes the secondary switch with a BPP source
 // fitted to the overflow stream's measured (mean, Z) — the paper's
-// intended use of the Pascal family — returning the predicted
-// time-congestion blocking.
+// intended use of the Pascal family (FitOverflow) — returning the
+// predicted time-congestion blocking.
 func SecondaryBPPApprox(secondaryN int, mean, z, mu float64) (float64, error) {
-	src, err := dist.FitMeanPeakedness(mean, z, mu)
+	src, err := FitOverflow(mean, z, mu)
 	if err != nil {
 		return 0, err
 	}
@@ -267,7 +278,7 @@ func SecondaryPoissonApprox(secondaryN int, mean, mu float64) (float64, error) {
 // time congestion — the PASTA gap — and it is the number directly
 // comparable to the simulator's per-request loss fraction.
 func SecondaryBPPCallCongestion(secondaryN int, mean, z, mu float64) (float64, error) {
-	src, err := dist.FitMeanPeakedness(mean, z, mu)
+	src, err := FitOverflow(mean, z, mu)
 	if err != nil {
 		return 0, err
 	}

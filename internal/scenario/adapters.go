@@ -6,7 +6,6 @@ import (
 
 	"xbar/internal/clos"
 	"xbar/internal/core"
-	"xbar/internal/dist"
 	"xbar/internal/floats"
 	"xbar/internal/hotspot"
 	"xbar/internal/inputq"
@@ -376,10 +375,11 @@ func evalOverflow(e *Engine, s *Spec) ([]Measure, error) {
 }
 
 // solveSecondary is the grid-routed core of overflow.SecondaryBPPApprox:
-// fit a BPP source to the measured overflow (mean, z) and solve the
-// secondary crossbar's product form.
+// fit a BPP source to the measured overflow (mean, z; overflow.FitOverflow
+// takes a z below 1 as 1) and solve the secondary crossbar's product
+// form.
 func (e *Engine) solveSecondary(secondaryN int, mean, z, mu float64) (float64, error) {
-	src, err := dist.FitMeanPeakedness(mean, z, mu)
+	src, err := overflow.FitOverflow(mean, z, mu)
 	if err != nil {
 		return 0, err
 	}

@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strconv"
+	"strings"
 	"testing"
 
 	"xbar/internal/clos"
@@ -414,5 +415,56 @@ func TestAdapterPropertyPins(t *testing.T) {
 			}
 		}
 		e.PutResult(got)
+	}
+}
+
+// TestOverflowSmoothPeakednessFits pins the overflow fits on a run
+// whose measured peakedness falls below 1: the benchmark's overflow
+// spec at sim seed 5 (z ~ 0.997). Its smooth fit has a non-integer
+// Bernoulli population, which used to fail the whole spec with a 422;
+// overflow.FitOverflow takes such a z as 1, so the BPP measures are
+// the Poisson ones and the adapter still matches the legacy entry
+// points bit for bit.
+func TestOverflowSmoothPeakednessFits(t *testing.T) {
+	const raw = `{
+  "discipline": "overflow",
+  "topology": {"n1": 8},
+  "params": {"lambda": 40, "mu": 1, "secondary_n": 6},
+  "sim": {"seed": 5, "warmup": 30, "horizon": 300}
+}`
+	s, err := scenario.Decode(strings.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := scenario.New(scenario.Options{}).Evaluate(s)
+	if err != nil {
+		t.Fatalf("evaluate: %v", err)
+	}
+	m := make(map[string]float64)
+	for _, ms := range got.Measures {
+		m[ms.Name] = ms.Value
+	}
+	if z := m["overflow_peakedness"]; !(z > 0 && z < 1) {
+		t.Fatalf("overflow_peakedness %v, want a measured z in (0, 1)", z)
+	}
+	if m["bpp_secondary_blocking"] != m["poisson_secondary_blocking"] {
+		t.Errorf("bpp_secondary_blocking %v, want the Poisson fit's %v",
+			m["bpp_secondary_blocking"], m["poisson_secondary_blocking"])
+	}
+	cc, err := overflow.SecondaryBPPCallCongestion(6, m["overflow_mean"], 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m["bpp_call_congestion"] != cc {
+		t.Errorf("bpp_call_congestion %v, want the Poisson fit's %v", m["bpp_call_congestion"], cc)
+	}
+	want := legacyMeasures(t, s)
+	if len(got.Measures) != len(want) {
+		t.Fatalf("%d measures, legacy %d", len(got.Measures), len(want))
+	}
+	for j := range want {
+		if got.Measures[j] != want[j] {
+			t.Errorf("measure %d: got %+v, legacy %+v", j, got.Measures[j], want[j])
+		}
 	}
 }

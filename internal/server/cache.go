@@ -5,7 +5,6 @@ import (
 	"context"
 	"fmt"
 	"strconv"
-	"strings"
 
 	"xbar/internal/core"
 )
@@ -126,35 +125,34 @@ func (c *solverCache) unlock() { <-c.mu }
 // and tile sizes (core's TestParallelFillBitIdentical), so a result
 // computed under any schedule serves every schedule.
 func cacheKey(alg string, sw core.Switch) string {
-	var b strings.Builder
-	b.Grow(32 + 80*len(sw.Classes))
-	b.WriteString(alg)
-	b.WriteByte('|')
-	b.WriteString(strconv.Itoa(sw.N1))
-	b.WriteByte('x')
-	b.WriteString(strconv.Itoa(sw.N2))
+	b := make([]byte, 0, 32+80*len(sw.Classes))
+	b = append(b, alg...)
+	b = append(b, '|')
+	b = strconv.AppendInt(b, int64(sw.N1), 10)
+	b = append(b, 'x')
+	b = strconv.AppendInt(b, int64(sw.N2), 10)
 	for _, cl := range sw.Classes {
-		b.WriteByte('|')
-		b.WriteString(strconv.Itoa(cl.A))
-		b.WriteByte(':')
+		b = append(b, '|')
+		b = strconv.AppendInt(b, int64(cl.A), 10)
+		b = append(b, ':')
 		// 'x' (hexadecimal) formatting is exact: two keys collide only
 		// for bit-identical parameters.
-		b.WriteString(strconv.FormatFloat(cl.Alpha, 'x', -1, 64))
-		b.WriteByte(':')
-		b.WriteString(strconv.FormatFloat(cl.Beta, 'x', -1, 64))
-		b.WriteByte(':')
-		b.WriteString(strconv.FormatFloat(cl.Mu, 'x', -1, 64))
+		b = strconv.AppendFloat(b, cl.Alpha, 'x', -1, 64)
+		b = append(b, ':')
+		b = strconv.AppendFloat(b, cl.Beta, 'x', -1, 64)
+		b = append(b, ':')
+		b = strconv.AppendFloat(b, cl.Mu, 'x', -1, 64)
 	}
-	return b.String()
+	return string(b)
 }
 
-// get returns the entry for (alg, sw), filling the lattice on a miss.
+// get returns the entry for (alg, sw) under its cacheKey key, filling
+// the lattice on a miss.
 // Concurrent identical requests share one fill. cached reports
 // whether the entry came from the cache (or a shared in-flight fill)
 // rather than a fill this call ran. The caller must release the
 // entry with release once done reading it.
-func (c *solverCache) get(ctx context.Context, alg string, sw core.Switch) (e *solverEntry, cached bool, err error) {
-	key := cacheKey(alg, sw)
+func (c *solverCache) get(ctx context.Context, key, alg string, sw core.Switch) (e *solverEntry, cached bool, err error) {
 	c.lock()
 	if el, ok := c.items[key]; ok {
 		it := el.Value.(*cacheItem)

@@ -1,6 +1,8 @@
 package server
 
 import (
+	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -29,57 +31,64 @@ func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, error
 }
 
 // maybeForward is the ownership check every cacheable POST handler
-// runs after validation and before touching its cache: when every key
-// the request resolves to is owned by one peer, the whole request is
-// proxied there and the peer's response written verbatim (returning
-// true — the response is complete). In every other case it returns
-// false and the caller computes locally:
+// runs after validation and before touching its cache. It places each
+// group's key on the ring. When one peer owns every key, the whole
+// request is proxied there and the peer's response written verbatim
+// (done: the response is complete). When the keys have different
+// owners, owners names, per group, the peer that serves it ("" for
+// this node) and the caller sends each remote group to its owner as a
+// one-group /v1/grid sub-request (forwardGroup). In every other case
+// owners is nil and the caller serves every group locally:
 //
 //   - single-node mode (no cluster) — the layer is disabled;
-//   - this node owns the keys — it also feeds the hot tracker;
-//   - mixed ownership across keys (multi-group /v1/grid) — local
-//     compute is correct, it just deduplicates less;
+//   - this node owns every key — it also feeds the hot tracker;
 //   - the request carries the forwarded or replicate marker — the loop
-//     guard: proxied requests are served where they land, so a skewed
-//     ring view costs one extra hop, never a cycle;
-//   - the owner is down or erroring — counted as a failover, served
-//     locally: a dead peer degrades to single-node behavior, never to
-//     a client-facing error.
-func (s *Server) maybeForward(w http.ResponseWriter, r *http.Request, body []byte, keys ...string) bool {
+//     guard: proxied requests, whole or split, are served where they
+//     land and never split again, so a skewed ring view costs one
+//     extra hop, never a cycle;
+//   - the single owner is down or erroring — counted as a failover,
+//     served locally: a dead peer degrades to single-node behavior,
+//     never to a client-facing error. A failed sub-request fails over
+//     its one group the same way (exact).
+func (s *Server) maybeForward(w http.ResponseWriter, r *http.Request, body []byte, groups []exactGroup) (owners []string, done bool) {
 	c := s.cluster
-	if c == nil || len(keys) == 0 {
-		return false
+	if c == nil || len(groups) == 0 {
+		return nil, false
 	}
 	if r.Header.Get(cluster.HeaderReplicate) != "" {
 		// Cache-warming traffic: fill locally, response discarded by the
 		// sender. It must not feed the hot tracker — replication feeding
 		// back into replication would self-oscillate.
-		return false
+		return nil, false
 	}
 	forwarded := r.Header.Get(cluster.HeaderForwarded) != ""
 	if forwarded {
 		c.Metrics().RecordForwardedServed()
 	}
-	owner := c.Owner(keys[0])
-	for _, k := range keys[1:] {
-		if c.Owner(k) != owner {
-			owner = c.NodeID() // mixed ownership: serve locally
-			break
-		}
+	self := c.NodeID()
+	owner, mixed := c.Owner(groups[0].key), false
+	for _, g := range groups[1:] {
+		mixed = mixed || c.Owner(g.key) != owner
 	}
-	if forwarded || owner == c.NodeID() {
-		for _, k := range keys {
-			if c.IsLocal(k) {
-				c.Touch(k, r.URL.Path, body)
+	if forwarded || mixed || owner == self {
+		if !forwarded && mixed {
+			owners = make([]string, len(groups))
+		}
+		for i, g := range groups {
+			switch o := c.Owner(g.key); {
+			case o == self:
+				c.Touch(g.key, r.URL.Path, body)
+			case owners != nil:
+				owners[i] = o
 			}
 		}
-		return false
+		return owners, false
 	}
 	res, err := c.Forward(r.Context(), owner, r.URL.Path, body)
 	if err != nil {
 		c.Metrics().RecordFailover()
 		s.cfg.logf("cluster: forward %s to %s failed (%v); serving locally", r.URL.Path, owner, err)
-		return false
+		return nil, false
 	}
 	if res.ContentType != "" {
 		w.Header().Set("Content-Type", res.ContentType)
@@ -91,7 +100,55 @@ func (s *Server) maybeForward(w http.ResponseWriter, r *http.Request, body []byt
 	if _, err := w.Write(res.Body); err != nil {
 		s.metrics.writeFailures.Add(1)
 	}
-	return true
+	return nil, true
+}
+
+// forwardGroup serves one exact group on its ring owner as a one-group
+// /v1/grid sub-request carrying the forwarded marker. The group's
+// per-route classes go in "units":"route", so the owner parses the same
+// floats and keys the same entry; each member is one point at its own
+// dimensions with the group's classes (members share the group's
+// grid.ClassKey, and their rows are read off the group's entry either
+// way); the algorithm, dispatch spec d and weights are the parent's.
+// JSON round-trips a float64 exactly, so the owner's rows are the rows
+// this node would read off the entry. Any error, a non-200 reply or a
+// row the owner's dispatch answered asymptotically included, means the
+// caller serves the group locally.
+func (s *Server) forwardGroup(ctx context.Context, owner string, pl *plan, g exactGroup,
+	d DispatchSpec, weights []float64) (*GridResponse, error) {
+	req := GridRequest{
+		SwitchSpec:   SwitchSpec{N1: g.sw.N1, N2: g.sw.N2, Units: "route", Classes: make([]ClassSpec, len(g.sw.Classes))},
+		DispatchSpec: d,
+		Algorithm:    pl.alg,
+		Points:       make([]GridPoint, len(g.members)),
+		Weights:      weights,
+	}
+	for k, c := range g.sw.Classes {
+		req.Classes[k] = ClassSpec{A: c.A, Alpha: c.Alpha, Beta: c.Beta, Mu: c.Mu}
+	}
+	for j, i := range g.members {
+		req.Points[j] = GridPoint{N1: pl.points[i].N1, N2: pl.points[i].N2}
+	}
+	body, err := json.Marshal(req)
+	if err != nil {
+		return nil, err
+	}
+	res, err := s.cluster.Forward(ctx, owner, "/v1/grid", body)
+	if err != nil {
+		return nil, err
+	}
+	if res.Status != http.StatusOK {
+		return nil, fmt.Errorf("owner answered %d: %s", res.Status, bytes.TrimSpace(res.Body))
+	}
+	var sub GridResponse
+	if err := json.Unmarshal(res.Body, &sub); err != nil {
+		return nil, fmt.Errorf("decoding the owner's reply: %w", err)
+	}
+	if sub.Models != 1 || sub.Asymptotic != 0 || len(sub.Results) != len(g.members) {
+		return nil, fmt.Errorf("owner answered %d rows (%d models, %d asymptotic) for %d exact points",
+			len(sub.Results), sub.Models, sub.Asymptotic, len(g.members))
+	}
+	return &sub, nil
 }
 
 // handleReadyz is the readiness probe, distinct from /healthz

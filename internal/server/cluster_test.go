@@ -8,6 +8,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"regexp"
 	"sync"
 	"testing"
 	"time"
@@ -61,6 +62,14 @@ func newTestFleet(t testing.TB, n int, mutate func(id string, cfg *Config)) *tes
 		f.urls[id] = peers[id]
 		t.Cleanup(func() { f.stop(t, id) })
 	}
+	// Runs before the stops: drop every node's pooled peer conns first.
+	// Concurrent forwards can leave a dialed-but-unused conn in a pool,
+	// and the peer's Shutdown waits ~5s for it otherwise.
+	t.Cleanup(func() {
+		for _, s := range f.srvs {
+			s.Close()
+		}
+	})
 	return f
 }
 
@@ -581,5 +590,240 @@ func TestClusterMetricsSection(t *testing.T) {
 	if ps.Latency.Le100us+ps.Latency.Le1ms+ps.Latency.Le10ms+ps.Latency.Le100ms+
 		ps.Latency.Le1s+ps.Latency.Le10s+ps.Latency.Over10s != 1 {
 		t.Errorf("forward latency histogram %+v sums != 1", ps.Latency)
+	}
+}
+
+// splitGrid builds a /v1/grid request over beta variants of base's
+// class c, chosen so that f's ring spreads the variants' groups over
+// every node, perOwner groups each. Each variant is one group of three
+// points: two sizes sharing its fill, and a copy at twice the rates and
+// mu (the same grid.ClassKey in other floats, which the owner reads
+// off the same entry). It returns the request and its group count.
+func splitGrid(t testing.TB, f *testFleet, base SwitchSpec, c, perOwner int) (GridRequest, int) {
+	t.Helper()
+	req := GridRequest{SwitchSpec: base}
+	per := make(map[string]int)
+	groups := 0
+	for k := 1; groups < perOwner*len(f.ids) && k <= 500; k++ {
+		beta := 0.001 * float64(k)
+		spec := base
+		spec.Classes = append([]ClassSpec(nil), base.Classes...)
+		spec.Classes[c].Beta = beta
+		owner := f.ownerOf(t, spec)
+		if per[owner] == perOwner {
+			continue
+		}
+		per[owner]++
+		groups++
+		doubled := make([]GridClassDelta, len(base.Classes))
+		for i, cl := range spec.Classes {
+			a, b, m := 2*cl.Alpha, 2*cl.Beta, 2*cl.Mu
+			doubled[i] = GridClassDelta{Class: i, Alpha: &a, Beta: &b, Mu: &m}
+		}
+		delta := []GridClassDelta{{Class: c, Beta: &beta}}
+		req.Points = append(req.Points,
+			GridPoint{N1: base.N1 - 4, Classes: delta},
+			GridPoint{Classes: delta},
+			GridPoint{N1: base.N1 - 2, Classes: doubled})
+	}
+	if groups < perOwner*len(f.ids) {
+		t.Fatalf("found %d of %d beta variants spread over the ring", groups, perOwner*len(f.ids))
+	}
+	return req, groups
+}
+
+var cachedField = regexp.MustCompile(`"cached":(true|false|\d+)`)
+
+// blankCached zeroes a reply's cached field, the one field that
+// differs between a cold and a warm node.
+func blankCached(b []byte) string { return cachedField.ReplaceAllString(string(b), `"cached":0`) }
+
+// singleNodeReply answers body on a fresh single-node server.
+func singleNodeReply(t *testing.T, path string, body any) []byte {
+	t.Helper()
+	_, ts := newTestServer(t, Config{Workers: 1})
+	buf, err := json.Marshal(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(ts.URL+path, "application/json", bytes.NewReader(buf))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	data, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("single-node status %d: %s", resp.StatusCode, data)
+	}
+	return data
+}
+
+// fleetForwards sums the forwards (whole requests and grid groups)
+// across the live fleet.
+func (f *testFleet) fleetForwards() int64 {
+	var total int64
+	for _, s := range f.srvs {
+		total += s.cluster.Snapshot().Forwards
+	}
+	return total
+}
+
+// TestClusterGridSplit posts a grid whose groups every node owns some
+// of to each node in turn: each receiving node serves its own groups
+// and sends the others to their owners, so the fleet fills every group
+// once, and every reply matches the single-node reply byte for byte.
+func TestClusterGridSplit(t *testing.T) {
+	f := newTestFleet(t, 3, nil)
+	base := SwitchSpec{N1: 16, N2: 16, Classes: []ClassSpec{
+		{Name: "smooth", A: 1, Alpha: 4, Mu: 1},
+		{Name: "bursty", A: 2, Alpha: 6, Beta: 0.01, Mu: 1},
+	}}
+	req, groups := splitGrid(t, f, base, 1, 2)
+	want := blankCached(singleNodeReply(t, "/v1/grid", req))
+	for n, id := range f.ids {
+		status, data, servedBy := f.post(t, id, "/v1/grid", req, nil)
+		if status != http.StatusOK {
+			t.Fatalf("node %s: status %d: %s", id, status, data)
+		}
+		if servedBy != id {
+			t.Errorf("node %s: served by %q, want the receiving node", id, servedBy)
+		}
+		if got := blankCached(data); got != want {
+			t.Errorf("node %s reply differs from single-node:\n%s\nvs\n%s", id, got, want)
+		}
+		var gr GridResponse
+		if err := json.Unmarshal(data, &gr); err != nil {
+			t.Fatal(err)
+		}
+		if wantCached := min(n, 1) * groups; gr.Models != groups || gr.Cached != wantCached {
+			t.Errorf("node %s: models %d cached %d, want %d and %d", id, gr.Models, gr.Cached, groups, wantCached)
+		}
+	}
+	if got := f.fleetMisses(); got != int64(groups) {
+		t.Errorf("fleet-wide solver-cache misses = %d, want one per group (%d)", got, groups)
+	}
+	// Every group is remote to two of the three receiving nodes.
+	if got := f.fleetForwards(); got != int64(2*groups) {
+		t.Errorf("fleet-wide forwards = %d, want %d", got, 2*groups)
+	}
+	for _, id := range f.ids {
+		if fo := f.srvs[id].cluster.Snapshot().Failovers; fo != 0 {
+			t.Errorf("node %s: %d failovers on a healthy fleet", id, fo)
+		}
+	}
+}
+
+// TestClusterGridSplitConcurrent races the same split grid against
+// every node at once: sub-requests and local reads of one group meet on
+// its owner's single-flight, so the fleet still fills each group once
+// and every reply carries the single-node bytes.
+func TestClusterGridSplitConcurrent(t *testing.T) {
+	f := newTestFleet(t, 3, nil)
+	req, groups := splitGrid(t, f, paperSpec(24), 0, 2)
+	want := blankCached(singleNodeReply(t, "/v1/grid", req))
+	const perNode = 2
+	var wg sync.WaitGroup
+	for _, id := range f.ids {
+		for i := 0; i < perNode; i++ {
+			wg.Add(1)
+			go func(id string) {
+				defer wg.Done()
+				status, data, _ := f.post(t, id, "/v1/grid", req, nil)
+				if status != http.StatusOK {
+					t.Errorf("node %s: status %d: %s", id, status, data)
+					return
+				}
+				if got := blankCached(data); got != want {
+					t.Errorf("node %s reply differs from single-node:\n%s\nvs\n%s", id, got, want)
+				}
+			}(id)
+		}
+	}
+	wg.Wait()
+	if got := f.fleetMisses(); got != int64(groups) {
+		t.Errorf("fleet-wide misses = %d, want one per group (%d)", got, groups)
+	}
+}
+
+// TestClusterGridSplitFailover shuts down the owner of some groups: the
+// grid still answers 200 with the single-node bytes, the dead owner's
+// groups are computed where the request landed, and each counts as a
+// failover.
+func TestClusterGridSplitFailover(t *testing.T) {
+	f := newTestFleet(t, 3, nil)
+	const perOwner = 2
+	req, _ := splitGrid(t, f, paperSpec(16), 0, perOwner)
+	want := blankCached(singleNodeReply(t, "/v1/grid", req))
+	dead := f.ids[2]
+	f.stop(t, dead)
+	for _, id := range f.ids[:2] {
+		status, data, _ := f.post(t, id, "/v1/grid", req, nil)
+		if status != http.StatusOK {
+			t.Fatalf("node %s: status %d: %s", id, status, data)
+		}
+		if got := blankCached(data); got != want {
+			t.Errorf("node %s reply differs from single-node:\n%s\nvs\n%s", id, got, want)
+		}
+		if fo := f.srvs[id].cluster.Snapshot().Failovers; fo != perOwner {
+			t.Errorf("node %s: failovers = %d, want %d (the groups %s owns)", id, fo, perOwner, dead)
+		}
+	}
+}
+
+// TestClusterGridSplitLoopGuard: a grid carrying the forwarded or the
+// replicate marker is served whole where it lands, never split.
+func TestClusterGridSplitLoopGuard(t *testing.T) {
+	for _, hdr := range []string{cluster.HeaderForwarded, cluster.HeaderReplicate} {
+		t.Run(hdr, func(t *testing.T) {
+			f := newTestFleet(t, 3, nil)
+			req, groups := splitGrid(t, f, paperSpec(16), 0, 1)
+			id := f.ids[0]
+			status, data, servedBy := f.post(t, id, "/v1/grid", req, map[string]string{hdr: f.ids[1]})
+			if status != http.StatusOK {
+				t.Fatalf("status %d: %s", status, data)
+			}
+			if servedBy != id {
+				t.Errorf("served by %q, want %q", servedBy, id)
+			}
+			if fwd := f.fleetForwards(); fwd != 0 {
+				t.Errorf("%d forwards under the loop guard, want 0", fwd)
+			}
+			if misses := f.srvs[id].metrics.cacheMisses.Load(); misses != int64(groups) {
+				t.Errorf("receiving node misses = %d, want every group (%d) filled locally", misses, groups)
+			}
+		})
+	}
+}
+
+// TestClusterGridSplitDispatch splits a dispatch=auto grid that mixes
+// exact groups with asymptotic points: the tiers, the asymptotic count
+// and the exact rows all survive the split.
+func TestClusterGridSplitDispatch(t *testing.T) {
+	f := newTestFleet(t, 3, nil)
+	req, groups := splitGrid(t, f, asymSpec(16), 0, 1)
+	req.Dispatch = "auto"
+	req.Points = append(req.Points, GridPoint{N1: 4096, N2: 4096}, GridPoint{N1: 2048, N2: 4096})
+	want := blankCached(singleNodeReply(t, "/v1/grid", req))
+	var gr GridResponse
+	if err := json.Unmarshal([]byte(want), &gr); err != nil {
+		t.Fatal(err)
+	}
+	if gr.Asymptotic != 2 || gr.Models != groups {
+		t.Fatalf("single-node reply: %d asymptotic points, %d models; want 2 and %d", gr.Asymptotic, gr.Models, groups)
+	}
+	for _, id := range f.ids {
+		status, data, _ := f.post(t, id, "/v1/grid", req, nil)
+		if status != http.StatusOK {
+			t.Fatalf("node %s: status %d: %s", id, status, data)
+		}
+		if got := blankCached(data); got != want {
+			t.Errorf("node %s reply differs from single-node:\n%s\nvs\n%s", id, got, want)
+		}
+	}
+	if got := f.fleetMisses(); got != int64(groups) {
+		t.Errorf("fleet-wide misses = %d, want %d", got, groups)
 	}
 }

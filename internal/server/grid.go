@@ -142,10 +142,12 @@ func pointRow(sw core.Switch, res *core.Result, tier string, weights []float64) 
 
 // gridReply renders a sweep or grid plan: asymptotic rows straight from
 // their answers, exact rows off each group's entry through the exact
-// path. Method is the exact algorithm's ("asymptotic" when no point is
-// exact) and Cached counts the entries that were resident or in flight.
+// path, or off the owner's reply for a group another peer serves
+// (forwardGroup; d and weights are the request's). Method is the exact
+// algorithm's ("asymptotic" when no point is exact) and Cached counts
+// the entries that were resident or in flight, wherever they live.
 func (s *Server) gridReply(w http.ResponseWriter, r *http.Request, pl *plan,
-	weights []float64) (resp GridResponse, done bool, err error) {
+	d DispatchSpec, weights []float64) (resp GridResponse, done bool, err error) {
 	resp = GridResponse{Method: "asymptotic", Points: len(pl.points), Models: len(pl.groups)}
 	resp.Results = make([]PointResult, len(pl.points))
 	for i, res := range pl.asym {
@@ -154,6 +156,7 @@ func (s *Server) gridReply(w http.ResponseWriter, r *http.Request, pl *plan,
 			resp.Asymptotic++
 		}
 	}
+	tier := exactTier(pl.opt)
 	done, err = s.exact(w, r, pl, func(e *solverEntry, cached bool, members []int) error {
 		if cached {
 			resp.Cached++
@@ -161,7 +164,19 @@ func (s *Server) gridReply(w http.ResponseWriter, r *http.Request, pl *plan,
 		for _, i := range members {
 			res := e.resultAt(pl.points[i].N1, pl.points[i].N2)
 			resp.Method = res.Method // one per algorithm, whatever the size
-			resp.Results[i] = pointRow(pl.points[i], res, exactTier(pl.opt), weights)
+			resp.Results[i] = pointRow(pl.points[i], res, tier, weights)
+		}
+		return nil
+	}, func(owner string, g exactGroup) error {
+		sub, err := s.forwardGroup(r.Context(), owner, pl, g, d, weights)
+		if err != nil {
+			return err
+		}
+		resp.Cached += sub.Cached
+		resp.Method = sub.Method
+		for j, i := range g.members {
+			resp.Results[i] = sub.Results[j]
+			resp.Results[i].Tier = tier
 		}
 		return nil
 	})
@@ -190,9 +205,8 @@ func (s *Server) handleGrid(w http.ResponseWriter, r *http.Request) error {
 	}
 	// Materialize, validate and route every point: points differing only
 	// in dimensions (or in nothing the solver reads) share one entry at
-	// the group maximum. The whole request is forwarded only when one
-	// peer owns every group's entry; mixed ownership computes locally —
-	// correct, just less fleet-wide dedup.
+	// the group maximum. In a fleet each group is served by its entry's
+	// ring owner (exact).
 	pl := &plan{prologue: p}
 	for i, gp := range req.Points {
 		sw, err := s.gridSwitch(req.SwitchSpec, gp, p.opt)
@@ -203,6 +217,6 @@ func (s *Server) handleGrid(w http.ResponseWriter, r *http.Request) error {
 			return pointError(i, err)
 		}
 	}
-	resp, done, err := s.gridReply(w, r, pl, req.Weights)
+	resp, done, err := s.gridReply(w, r, pl, req.DispatchSpec, req.Weights)
 	return s.reply(w, resp, done, err)
 }

@@ -207,8 +207,10 @@ type plan struct {
 
 // exactGroup is one canonical class set (grid.ClassKey) among a
 // request's exact points: every member is read off one cache entry,
-// filled at the members' componentwise maximum dimensions.
+// filled at the members' componentwise maximum dimensions. key is that
+// entry's cache key, set by exact once the plan is complete.
 type exactGroup struct {
+	class   string
 	key     string
 	sw      core.Switch
 	members []int // point indices
@@ -229,34 +231,47 @@ func (s *Server) addPoint(pl *plan, sw core.Switch) error {
 	if ok {
 		return nil
 	}
-	key := grid.ClassKey(sw.Classes)
+	class := grid.ClassKey(sw.Classes)
 	for j := range pl.groups {
-		if g := &pl.groups[j]; g.key == key {
+		if g := &pl.groups[j]; g.class == class {
 			g.sw.N1, g.sw.N2 = max(g.sw.N1, sw.N1), max(g.sw.N2, sw.N2)
 			g.members = append(g.members, i)
 			return nil
 		}
 	}
-	pl.groups = append(pl.groups, exactGroup{key: key, sw: sw, members: []int{i}})
+	pl.groups = append(pl.groups, exactGroup{class: class, sw: sw, members: []int{i}})
 	return nil
 }
 
-// exact is the one exact path of the SwitchSpec endpoints. The whole
-// request is forwarded when one peer owns every group's entry
-// (maybeForward; done reports that the peer's reply is written).
-// Otherwise each group's entry is resolved, locked, handed to read
-// with its member indices, unlocked and released: one entry at a time,
-// in group order. A request with no exact point touches no entry.
+// exact is the one exact path of the SwitchSpec endpoints. It keys
+// every group's entry, then places the groups on their ring owners
+// (maybeForward): a request whose groups one peer owns is forwarded
+// whole (done reports that the peer's reply is written). Otherwise
+// each group this node serves has its entry resolved, locked, handed to
+// read with its member indices, unlocked and released, one entry at a
+// time in group order; a group another peer owns goes to remote, and
+// when that fails it is read here like the others (a failover). Only a
+// plan of two or more groups is ever split, so one-group callers pass
+// a nil remote. A request with no exact point touches no entry.
 func (s *Server) exact(w http.ResponseWriter, r *http.Request, pl *plan,
-	read func(e *solverEntry, cached bool, members []int) error) (done bool, err error) {
-	keys := make([]string, len(pl.groups))
-	for i, g := range pl.groups {
-		keys[i] = cacheKey(pl.alg, g.sw)
+	read func(e *solverEntry, cached bool, members []int) error,
+	remote func(owner string, g exactGroup) error) (done bool, err error) {
+	for i := range pl.groups {
+		pl.groups[i].key = cacheKey(pl.alg, pl.groups[i].sw)
 	}
-	if s.maybeForward(w, r, pl.body, keys...) {
+	owners, done := s.maybeForward(w, r, pl.body, pl.groups)
+	if done {
 		return true, nil
 	}
-	for _, g := range pl.groups {
+	for i, g := range pl.groups {
+		if owners != nil && owners[i] != "" {
+			err := remote(owners[i], g)
+			if err == nil {
+				continue
+			}
+			s.cluster.Metrics().RecordFailover()
+			s.cfg.logf("cluster: group %d of %s to %s failed (%v); serving it locally", i, r.URL.Path, owners[i], err)
+		}
 		if err := s.readEntry(r.Context(), pl.alg, g, read); err != nil {
 			return false, err
 		}
@@ -269,7 +284,7 @@ func (s *Server) exact(w http.ResponseWriter, r *http.Request, pl *plan,
 // when read panics (a revenue gradient's out-of-domain re-solve).
 func (s *Server) readEntry(ctx context.Context, alg string, g exactGroup,
 	read func(e *solverEntry, cached bool, members []int) error) error {
-	e, cached, err := s.cache.get(ctx, alg, g.sw)
+	e, cached, err := s.cache.get(ctx, g.key, alg, g.sw)
 	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 		return overloaded(err)
 	}
@@ -306,7 +321,7 @@ func (s *Server) servePoint(w http.ResponseWriter, r *http.Request, p prologue,
 	}
 	return s.exact(w, r, pl, func(e *solverEntry, cached bool, _ []int) error {
 		return read(answer{res: e.resultAt(p.sw.N1, p.sw.N2), tier: exactTier(p.opt), e: e, cached: cached})
-	})
+	}, nil) // one group: never split
 }
 
 // reply writes resp as the 200 reply unless the exact path failed or
@@ -652,7 +667,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) error {
 	if pl.opt == nil {
 		pl.groups[0].sw = sw
 	}
-	g, done, err := s.gridReply(w, r, pl, req.Weights)
+	g, done, err := s.gridReply(w, r, pl, req.DispatchSpec, req.Weights)
 	resp := SweepResponse{N1: sw.N1, N2: sw.N2, Method: g.Method, Cached: g.Cached > 0, Results: g.Results}
 	return s.reply(w, resp, done, err)
 }

@@ -178,7 +178,7 @@ func (s *Server) handleScenario(w http.ResponseWriter, r *http.Request) error {
 	if err := spec.Validate(s.cfg.scenarioLimits()); err != nil {
 		return s.scenarioError(w, err)
 	}
-	if s.maybeForward(w, r, body, spec.Key()) {
+	if _, done := s.maybeForward(w, r, body, []exactGroup{{key: spec.Key()}}); done {
 		return nil
 	}
 

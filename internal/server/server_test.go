@@ -606,7 +606,7 @@ func TestEntryLockTimeout(t *testing.T) {
 	if code := postJSON(t, ts, "/v1/blocking", BlockingRequest{SwitchSpec: paperSpec(8)}, nil); code != http.StatusOK {
 		t.Fatalf("priming status %d", code)
 	}
-	e, _, err := s.cache.get(context.Background(), alg1, paperSwitch(8))
+	e, _, err := s.cache.get(context.Background(), cacheKey(alg1, paperSwitch(8)), alg1, paperSwitch(8))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,10 +7,13 @@
 #      all served by the key's ring owner (X-Xbar-Node), and the fleet
 #      fills the lattice exactly once (fleet cache_misses == 1 in the
 #      /v1/cluster rollup);
-#   2. killing the owner degrades to local compute on the survivors
+#   2. a /v1/grid whose class groups have different ring owners is
+#      answered identically by every node, each group filled once
+#      fleet-wide (cache_misses rises by the group count);
+#   3. killing the owner degrades to local compute on the survivors
 #      (HTTP 200, same blocking value, failovers counted) — never a
 #      client-facing error;
-#   3. the /v1/cluster rollup keeps answering with the dead member
+#   4. the /v1/cluster rollup keeps answering with the dead member
 #      marked unreachable; the final rollup is written to
 #      $CLUSTER_ROLLUP (default cluster-rollup.json) for CI artifacts.
 set -euo pipefail
@@ -104,6 +107,46 @@ grep -q '"cache_misses":1' "$WORK/rollup1.json" || {
     exit 1
 }
 echo "cluster-smoke: fleet-wide cache_misses == 1"
+
+# A multi-variant /v1/grid (one class group per beta variant, two sizes
+# each) whose groups hash to several owners: every node serves its own
+# groups and sends each other group to its owner, so the three replies
+# match and the fleet fills each group once. Each group is remote to
+# two of the three receiving nodes, so the fleet's forwards rise by
+# 2 x NGROUPS; a grid whose groups one node owned would be forwarded
+# whole and add only 2.
+NGROUPS=6
+POINTS=""
+for b in 0.001 0.002 0.003 0.004 0.005 0.006; do
+    POINTS="${POINTS:+$POINTS,}{\"classes\":[{\"class\":1,\"beta\":$b}]},{\"n1\":12,\"classes\":[{\"class\":1,\"beta\":$b}]}"
+done
+GRID='{"n1":16,"n2":16,"classes":[{"a":1,"alpha":4,"mu":1},{"a":2,"alpha":6,"beta":0.01,"mu":1}],"points":['"$POINTS"']}'
+fleet_counter() { sed 's/.*"fleet"://' "$1" | grep -o "\"$2\":[0-9]*" | head -1 | cut -d: -f2; }
+normgrid() { sed 's/"cached":[0-9]*/"cached":0/' "$1"; }
+MISSES0="$(fleet_counter "$WORK/rollup1.json" cache_misses)"
+FORWARDS0="$(fleet_counter "$WORK/rollup1.json" forwards)"
+for i in 0 1 2; do
+    curl -fsS -X POST -d "$GRID" "$(url $i)/v1/grid" >"$WORK/grid$i.json"
+done
+for i in 1 2; do
+    if [ "$(normgrid "$WORK/grid$i.json")" != "$(normgrid "$WORK/grid0.json")" ]; then
+        echo "cluster-smoke: node ${IDS[$i]} grid reply differs from node ${IDS[0]}" >&2
+        exit 1
+    fi
+done
+curl -fsS "$(url 0)/v1/cluster" >"$WORK/rollup2.json"
+MISSES1="$(fleet_counter "$WORK/rollup2.json" cache_misses)"
+FORWARDS1="$(fleet_counter "$WORK/rollup2.json" forwards)"
+if [ $((MISSES1 - MISSES0)) -ne "$NGROUPS" ]; then
+    echo "cluster-smoke: grid raised fleet cache_misses by $((MISSES1 - MISSES0)), want $NGROUPS; rollup:" >&2
+    cat "$WORK/rollup2.json" >&2
+    exit 1
+fi
+if [ $((FORWARDS1 - FORWARDS0)) -ne $((2 * NGROUPS)) ]; then
+    echo "cluster-smoke: grid raised fleet forwards by $((FORWARDS1 - FORWARDS0)), want $((2 * NGROUPS)) (groups not split over owners?)" >&2
+    exit 1
+fi
+echo "cluster-smoke: mixed-owner grid identical on all 3 nodes, $NGROUPS fleet-wide fills"
 
 # Kill the owner; a survivor must fail over to local compute with the
 # same answer.

@@ -11,7 +11,7 @@
 //	      [-max-dim n] [-max-asym-dim n] \
 //	      [-max-body bytes] [-timeout d] [-drain d] [-max-concurrent n] \
 //	      [-max-grid-points n] \
-//	      [-node-id id -peers id=url,...] [-vnodes n] [-hot-replicas k] \
+//	      [-node-id id -peers id=url,...] \
 //	      [-cpuprofile f] [-memprofile f] [-trace f]
 //
 // The daemon serves until SIGTERM or SIGINT, then drains in-flight
@@ -65,8 +65,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		drain         = fs.Duration("drain", 0, "graceful-shutdown drain budget (0 = default 15s)")
 		nodeID        = fs.String("node-id", "", "this node's id in -peers (required with -peers)")
 		peers         = fs.String("peers", "", "cluster membership as id=url,id=url,... including this node (empty = single-node)")
-		vnodes        = fs.Int("vnodes", 0, "virtual nodes per member on the consistent-hash ring (0 = default 64)")
-		hotReplicas   = fs.Int("hot-replicas", 0, "ring successors to replicate hot keys to (0 = default 1, -1 = off)")
 	)
 	prof := cli.NewProfiler(fs)
 	if err := fs.Parse(args); err != nil {
@@ -105,8 +103,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		DrainTimeout:      *drain,
 		NodeID:            *nodeID,
 		Peers:             peerMap,
-		VNodes:            *vnodes,
-		HotReplicas:       *hotReplicas,
 		Logf: func(format string, args ...any) {
 			fmt.Fprintf(stderr, time.Now().Format("2006-01-02T15:04:05.000Z07:00")+" "+format+"\n", args...)
 		},

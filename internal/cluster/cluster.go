@@ -16,10 +16,9 @@
 // are deterministic and schedule-independent), so failover changes
 // cost, never answers.
 //
-// Owners additionally track per-key hit EWMAs and replicate their
-// hottest keys to their ring successors ahead of need: a lost node's
-// hottest models are already warm on the nodes that inherit its ring
-// segment. See docs/CLUSTER.md.
+// A key is filled on its owner only, and nothing runs in the
+// background. A dead owner's keys are filled on whichever node receives
+// them, once per node. See docs/CLUSTER.md.
 package cluster
 
 import (
@@ -31,22 +30,28 @@ import (
 	"net/http"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 )
 
 // Forwarded-request markers. HeaderForwarded carries the origin node
 // id on proxied requests and is the loop guard: a request bearing it
 // is always served locally, never re-forwarded, so a ring-view skew
-// can cost one extra hop but never a cycle. HeaderReplicate marks
-// cache-warming replication traffic (also served locally, response
-// discarded by the sender). HeaderNode on responses names the node
-// that actually served the request.
+// can cost one extra hop but never a cycle. HeaderNode on responses
+// names the node that actually served the request.
 const (
 	HeaderForwarded = "X-Xbar-Forwarded"
-	HeaderReplicate = "X-Xbar-Replicate"
 	HeaderNode      = "X-Xbar-Node"
 )
+
+// HeaderReplicate named the retired hot-key replication traffic. No
+// node sends it and no server reads it; it is kept only because the
+// benchmark module still compiles against the name.
+const HeaderReplicate = "X-Xbar-Replicate"
+
+// vnodes is the virtual nodes per member on every node's ring. It is a
+// constant, not a setting: nodes built with different values would
+// derive different rings and disagree on owners without any error.
+const vnodes = 64
 
 // ErrPeerDown reports a forward skipped because the target peer is
 // inside its reconnect backoff window.
@@ -60,53 +65,14 @@ type Config struct {
 	// Peers maps every cluster member's id — including this node's —
 	// to its API base URL ("http://host:port"). Len >= 1.
 	Peers map[string]string
-	// VNodes is the virtual nodes per member on the hash ring.
-	// Default 64.
-	VNodes int
-	// HotReplicas is how many ring successors each owner replicates
-	// its hottest keys to; negative disables replication. Default 1,
-	// capped at len(Peers)-1.
-	HotReplicas int
-	// HotThreshold is the decayed hit mass at which a key counts as
-	// hot. Default 8.
-	HotThreshold float64
-	// HotHalfLife is the EWMA half-life of the hit tracker.
-	// Default 30s.
-	HotHalfLife time.Duration
-	// ReplicateInterval is the minimum time between replication
-	// fan-outs of one key. Default 30s.
-	ReplicateInterval time.Duration
 	// ForwardAttempts bounds tries per forwarded request before the
 	// caller falls over to local compute. Default 2.
 	ForwardAttempts int
 	// ForwardTimeout bounds one forward attempt. Default 10s.
 	ForwardTimeout time.Duration
-	// Logf, when non-nil, receives lifecycle log lines.
-	Logf func(format string, args ...any)
 }
 
 func (c Config) withDefaults() Config {
-	if c.VNodes == 0 {
-		c.VNodes = 64
-	}
-	switch {
-	case c.HotReplicas == 0:
-		c.HotReplicas = 1
-	case c.HotReplicas < 0:
-		c.HotReplicas = 0 // explicit off
-	}
-	if c.HotReplicas > len(c.Peers)-1 {
-		c.HotReplicas = len(c.Peers) - 1
-	}
-	if c.HotThreshold <= 0 {
-		c.HotThreshold = 8
-	}
-	if c.HotHalfLife == 0 {
-		c.HotHalfLife = 30 * time.Second
-	}
-	if c.ReplicateInterval == 0 {
-		c.ReplicateInterval = 30 * time.Second
-	}
 	if c.ForwardAttempts == 0 {
 		c.ForwardAttempts = 2
 	}
@@ -131,50 +97,22 @@ func (c Config) validate() error {
 			return fmt.Errorf("cluster: peer %q url %q must start with http:// or https://", id, u)
 		}
 	}
-	if c.VNodes < 1 {
-		return fmt.Errorf("cluster: VNodes %d, must be >= 1", c.VNodes)
-	}
 	return nil
 }
 
-// replJob is one queued replication fan-out: re-POST the original
-// request to the key's ring successors so they fill their own caches.
-type replJob struct {
-	key     string
-	path    string
-	body    []byte
-	targets []string
-}
-
-// maxTrackedKeys bounds the hot tracker; beyond it the coldest key is
-// dropped (only relative heat matters).
-const maxTrackedKeys = 4096
-
-// replQueueLen bounds the replication queue; fan-outs beyond it are
-// dropped and counted, never block a request.
-const replQueueLen = 64
-
-// Cluster is one node's view of the fleet: the ring, the peer pool,
-// the hot-key tracker and the replication worker. Construct with New,
-// stop with Close.
+// Cluster is one node's view of the fleet: the ring and the peer pool.
+// Construct with New, release with Close.
 type Cluster struct {
 	cfg       Config
 	ring      *Ring
 	peers     map[string]*Peer // every member except self
 	transport *http.Transport  // shared by every peer's client
-	hot       *hotTracker
 	metrics   *Metrics
 	now       func() time.Time
-
-	repl      chan replJob
-	done      chan struct{}
-	closeOnce sync.Once
-	wg        sync.WaitGroup
 }
 
-// New builds the node's cluster view and starts the replication
-// worker. The membership is static: the ring is a pure function of
-// cfg.Peers and never changes at runtime.
+// New builds the node's cluster view. The membership is static: the
+// ring is a pure function of cfg.Peers and never changes at runtime.
 func New(cfg Config) (*Cluster, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {
@@ -189,14 +127,11 @@ func New(cfg Config) (*Cluster, error) {
 	client := &http.Client{Transport: transport}
 	c := &Cluster{
 		cfg:       cfg,
-		ring:      NewRing(ids, cfg.VNodes),
+		ring:      NewRing(ids, vnodes),
 		peers:     make(map[string]*Peer, len(ids)-1),
 		transport: transport,
-		hot:       newHotTracker(cfg.HotHalfLife, maxTrackedKeys),
 		metrics:   newClusterMetrics(peerIDsExcept(ids, cfg.NodeID)),
-		now:       time.Now, //lint:allow detrand wall-clock backoff gates and EWMA decay; the analytical engine stays clock-free
-		repl:      make(chan replJob, replQueueLen),
-		done:      make(chan struct{}),
+		now:       time.Now, //lint:allow detrand wall-clock backoff gates; the analytical engine stays clock-free
 	}
 	for _, id := range ids {
 		if id == cfg.NodeID {
@@ -204,8 +139,6 @@ func New(cfg Config) (*Cluster, error) {
 		}
 		c.peers[id] = &Peer{id: id, baseURL: strings.TrimRight(cfg.Peers[id], "/"), client: client}
 	}
-	c.wg.Add(1)
-	go c.replicator()
 	return c, nil
 }
 
@@ -219,15 +152,9 @@ func peerIDsExcept(ids []string, self string) []string {
 	return out
 }
 
-// Close stops the replication worker and releases the connection
-// pool's idle conns (a pooled-but-unused conn would otherwise hold a
-// peer's graceful drain open for several seconds). Forwarding stays
+// Close releases the connection pool's idle conns. Forwarding stays
 // usable (it is stateless per call). Idempotent.
-func (c *Cluster) Close() {
-	c.closeOnce.Do(func() { close(c.done) })
-	c.wg.Wait()
-	c.transport.CloseIdleConnections()
-}
+func (c *Cluster) Close() { c.transport.CloseIdleConnections() }
 
 // NodeID returns this node's member id.
 func (c *Cluster) NodeID() string { return c.cfg.NodeID }
@@ -243,12 +170,6 @@ func (c *Cluster) Metrics() *Metrics { return c.metrics }
 
 // Owner returns the member owning key on the ring.
 func (c *Cluster) Owner(key string) string { return c.ring.Owner(key) }
-
-// IsLocal reports whether this node owns key.
-func (c *Cluster) IsLocal(key string) bool { return c.ring.Owner(key) == c.cfg.NodeID }
-
-// Successors returns key's replica set (ring successors of its owner).
-func (c *Cluster) Successors(key string, n int) []string { return c.ring.Successors(key, n) }
 
 // ForwardResult is a proxied response: status, content type and body,
 // copied verbatim so the client sees exactly the owner's bytes.
@@ -365,121 +286,16 @@ func (c *Cluster) FetchJSON(ctx context.Context, id, path string) ([]byte, error
 	return data, nil
 }
 
-// Touch records one locally served request for a key this node owns
-// and, when the key's decayed hit mass crosses the hot threshold,
-// queues a replication fan-out of the original request to the key's
-// ring successors. The queue is bounded and never blocks the request.
-func (c *Cluster) Touch(key, path string, body []byte) {
-	if c.cfg.HotReplicas < 1 {
-		return
-	}
-	now := c.now()
-	c.hot.touch(key, now)
-	if !c.hot.shouldReplicate(key, now, c.cfg.HotThreshold, c.cfg.ReplicateInterval) {
-		return
-	}
-	targets := c.ring.Successors(key, c.cfg.HotReplicas)
-	if len(targets) == 0 {
-		return
-	}
-	// The body slice may alias a request buffer; copy it so the
-	// background worker owns its bytes.
-	job := replJob{key: key, path: path, body: append([]byte(nil), body...), targets: targets}
-	select {
-	case c.repl <- job:
-	default:
-		c.metrics.replDropped.Add(1)
-	}
-}
-
-// replicator is the background fan-out worker: it re-POSTs hot
-// requests to ring successors with the replicate marker, warming
-// their caches off the request path. Responses are discarded — the
-// point is the fill on the successor, not the answer.
-func (c *Cluster) replicator() {
-	defer c.wg.Done()
-	for {
-		select {
-		case job := <-c.repl:
-			c.replicate(job)
-		case <-c.done:
-			return
-		}
-	}
-}
-
-func (c *Cluster) replicate(job replJob) {
-	for _, id := range job.targets {
-		p, ok := c.peers[id]
-		if !ok || p.down(c.now()) {
-			c.metrics.replFailed.Add(1)
-			continue
-		}
-		if err := c.replicateOne(p, job); err != nil {
-			c.metrics.replFailed.Add(1)
-			c.logf("cluster: replicate %s to %s: %v", job.path, id, err)
-			continue
-		}
-		c.metrics.replSent.Add(1)
-	}
-}
-
-func (c *Cluster) replicateOne(p *Peer, job replJob) error {
-	ctx, cancel := context.WithTimeout(context.Background(), c.cfg.ForwardTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, p.baseURL+job.path, bytes.NewReader(job.body))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set(HeaderReplicate, c.cfg.NodeID)
-	resp, err := p.client.Do(req)
-	if err != nil {
-		p.reportFailure(c.now())
-		return err
-	}
-	defer resp.Body.Close() //lint:allow errcheck drain-side close; the body is discarded
-	if _, err := io.Copy(io.Discard, resp.Body); err != nil {
-		p.reportFailure(c.now())
-		return err
-	}
-	p.reportSuccess()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("peer answered %d", resp.StatusCode)
-	}
-	return nil
-}
-
-// DrainReplication waits (bounded by timeout) until the replication
-// queue is empty — a test and shutdown convenience; the worker may
-// still be mid-flight on the last job when it returns.
-func (c *Cluster) DrainReplication(timeout time.Duration) {
-	deadline := c.now().Add(timeout)
-	for len(c.repl) > 0 && c.now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-}
-
-// HotKeys returns the node's current top-k tracked keys, hottest
-// first (diagnostics).
-func (c *Cluster) HotKeys(k int) []string { return c.hot.topK(k, c.now()) }
-
 // Snapshot renders the cluster counters for the /metrics document.
 func (c *Cluster) Snapshot() Snapshot {
 	s := Snapshot{
 		NodeID:          c.cfg.NodeID,
-		VNodes:          c.cfg.VNodes,
+		VNodes:          vnodes,
 		Forwards:        c.metrics.forwards.Load(),
 		ForwardErrors:   c.metrics.forwardErrors.Load(),
 		Failovers:       c.metrics.failovers.Load(),
 		ForwardedServed: c.metrics.forwardedServed.Load(),
-		Replication: ReplicationSnapshot{
-			HotTracked: c.hot.tracked(),
-			Sent:       c.metrics.replSent.Load(),
-			Failed:     c.metrics.replFailed.Load(),
-			Dropped:    c.metrics.replDropped.Load(),
-		},
-		Peers: make(map[string]PeerSnapshot, len(c.peers)),
+		Peers:           make(map[string]PeerSnapshot, len(c.peers)),
 	}
 	now := c.now()
 	for id, p := range c.peers {
@@ -510,10 +326,4 @@ func (c *Cluster) Snapshot() Snapshot {
 		s.Peers[id] = ps
 	}
 	return s
-}
-
-func (c *Cluster) logf(format string, args ...any) {
-	if c.cfg.Logf != nil {
-		c.cfg.Logf(format, args...)
-	}
 }

@@ -3,7 +3,6 @@ package cluster
 import (
 	"context"
 	"errors"
-	"fmt"
 	"io"
 	"net"
 	"net/http"
@@ -155,72 +154,6 @@ func TestPeerBackoffExpiresAndProbes(t *testing.T) {
 	}
 }
 
-func TestTouchReplicatesHotKey(t *testing.T) {
-	var gotPath atomic.Value
-	var gotFrom atomic.Value
-	var replicas atomic.Int64
-	c, _ := newTestCluster(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.Header.Get(HeaderReplicate) != "" {
-			replicas.Add(1)
-			gotPath.Store(r.URL.Path)
-			gotFrom.Store(r.Header.Get(HeaderReplicate))
-		}
-		w.WriteHeader(http.StatusOK)
-	}), Config{HotThreshold: 2.5, HotHalfLife: time.Minute, ReplicateInterval: time.Minute})
-
-	// Find a key owned by self so the successor set is {peer}.
-	key := ""
-	for i := 0; i < 1000; i++ {
-		k := fmt.Sprintf("model-%d", i)
-		if c.IsLocal(k) {
-			key = k
-			break
-		}
-	}
-	if key == "" {
-		t.Fatal("no self-owned key found")
-	}
-	for i := 0; i < 3; i++ {
-		c.Touch(key, "/v1/blocking", []byte(`{"n1":4}`))
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for replicas.Load() == 0 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if replicas.Load() != 1 {
-		t.Fatalf("replicas = %d, want 1", replicas.Load())
-	}
-	if gotPath.Load() != "/v1/blocking" || gotFrom.Load() != "self" {
-		t.Fatalf("replica path %v from %v", gotPath.Load(), gotFrom.Load())
-	}
-	// The peer counts the replica before the worker books it as sent,
-	// so poll the counter.
-	c.DrainReplication(time.Second)
-	for c.Snapshot().Replication.Sent == 0 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if snap := c.Snapshot(); snap.Replication.Sent != 1 || snap.Replication.HotTracked != 1 {
-		t.Fatalf("replication snapshot %+v", snap.Replication)
-	}
-	if hot := c.HotKeys(1); len(hot) != 1 || hot[0] != key {
-		t.Fatalf("hot keys %v, want [%s]", hot, key)
-	}
-}
-
-func TestTouchBelowThresholdDoesNotReplicate(t *testing.T) {
-	var replicas atomic.Int64
-	c, _ := newTestCluster(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		replicas.Add(1)
-	}), Config{HotThreshold: 100, HotHalfLife: time.Minute})
-	for i := 0; i < 10; i++ {
-		c.Touch("some-key", "/v1/blocking", nil)
-	}
-	c.DrainReplication(time.Second)
-	if replicas.Load() != 0 {
-		t.Fatalf("cold key replicated %d times", replicas.Load())
-	}
-}
-
 func TestFetchJSON(t *testing.T) {
 	c, _ := newTestCluster(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodGet || r.URL.Path != "/metrics" {
@@ -284,7 +217,7 @@ func TestDefaultsAndAccessors(t *testing.T) {
 	if c.PeerURL("peer") != ts.URL {
 		t.Fatalf("peer url %q, want %q", c.PeerURL("peer"), ts.URL)
 	}
-	if c.cfg.VNodes != 64 || c.cfg.HotReplicas != 1 || c.cfg.ForwardAttempts != 2 {
+	if c.cfg.ForwardAttempts != 2 || c.cfg.ForwardTimeout != 10*time.Second || c.Snapshot().VNodes != 64 {
 		t.Fatalf("defaults not applied: %+v", c.cfg)
 	}
 	if c.Owner("k") != "self" && c.Owner("k") != "peer" {

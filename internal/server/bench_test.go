@@ -50,10 +50,7 @@ func BenchmarkClusterAggregateHitRate(b *testing.B) {
 		// boot; there is no hit rate to measure.
 		b.Skip("hit-rate benchmark is meaningless at one iteration")
 	}
-	// Replication off: at bench iteration counts every key crosses the
-	// hot threshold and each successor's warming fill would count as a
-	// second legitimate miss, clouding the one-fill-per-key assertion.
-	f := newTestFleet(b, 3, func(id string, cfg *Config) { cfg.HotReplicas = -1 })
+	f := newTestFleet(b, 3, nil)
 	specs := make([]SwitchSpec, 8)
 	for i := range specs {
 		specs[i] = paperSpec(4 + 2*i)

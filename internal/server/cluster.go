@@ -14,8 +14,8 @@ import (
 )
 
 // readBody reads one request body whole under the server's size cap.
-// The forwarding layer needs the raw bytes (to proxy or replicate the
-// request verbatim), so handlers read first and decode from the buffer.
+// The forwarding layer needs the raw bytes (to proxy the request
+// verbatim), so handlers read first and decode from the buffer.
 func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
 	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 	data, err := io.ReadAll(r.Body)
@@ -41,11 +41,11 @@ func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, error
 // owners is nil and the caller serves every group locally:
 //
 //   - single-node mode (no cluster) — the layer is disabled;
-//   - this node owns every key — it also feeds the hot tracker;
-//   - the request carries the forwarded or replicate marker — the loop
-//     guard: proxied requests, whole or split, are served where they
-//     land and never split again, so a skewed ring view costs one
-//     extra hop, never a cycle;
+//   - this node owns every key;
+//   - the request carries the forwarded marker — the loop guard:
+//     proxied requests, whole or split, are served where they land and
+//     never split again, so a skewed ring view costs one extra hop,
+//     never a cycle;
 //   - the single owner is down or erroring — counted as a failover,
 //     served locally: a dead peer degrades to single-node behavior,
 //     never to a client-facing error. A failed sub-request fails over
@@ -53,12 +53,6 @@ func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, error
 func (s *Server) maybeForward(w http.ResponseWriter, r *http.Request, body []byte, groups []exactGroup) (owners []string, done bool) {
 	c := s.cluster
 	if c == nil || len(groups) == 0 {
-		return nil, false
-	}
-	if r.Header.Get(cluster.HeaderReplicate) != "" {
-		// Cache-warming traffic: fill locally, response discarded by the
-		// sender. It must not feed the hot tracker — replication feeding
-		// back into replication would self-oscillate.
 		return nil, false
 	}
 	forwarded := r.Header.Get(cluster.HeaderForwarded) != ""
@@ -70,15 +64,13 @@ func (s *Server) maybeForward(w http.ResponseWriter, r *http.Request, body []byt
 	for _, g := range groups[1:] {
 		mixed = mixed || c.Owner(g.key) != owner
 	}
-	if forwarded || mixed || owner == self {
-		if !forwarded && mixed {
-			owners = make([]string, len(groups))
-		}
+	if forwarded || (owner == self && !mixed) {
+		return nil, false
+	}
+	if mixed {
+		owners = make([]string, len(groups))
 		for i, g := range groups {
-			switch o := c.Owner(g.key); {
-			case o == self:
-				c.Touch(g.key, r.URL.Path, body)
-			case owners != nil:
+			if o := c.Owner(g.key); o != self {
 				owners[i] = o
 			}
 		}
@@ -184,19 +176,16 @@ type ClusterNodeStatus struct {
 // matter which node the client hits). Hits include shared in-flight
 // waits — both avoided a fill.
 type ClusterFleet struct {
-	Nodes              int     `json:"nodes"`
-	Reachable          int     `json:"reachable"`
-	CacheHits          int64   `json:"cache_hits"`
-	CacheMisses        int64   `json:"cache_misses"`
-	CacheHitRate       float64 `json:"cache_hit_rate"`
-	ScenarioCacheHits  int64   `json:"scenario_cache_hits"`
-	ScenarioCacheMiss  int64   `json:"scenario_cache_misses"`
-	Forwards           int64   `json:"forwards"`
-	ForwardErrors      int64   `json:"forward_errors"`
-	Failovers          int64   `json:"failovers"`
-	ReplicationSent    int64   `json:"replication_sent"`
-	ReplicationFailed  int64   `json:"replication_failed"`
-	ReplicationDropped int64   `json:"replication_dropped"`
+	Nodes             int     `json:"nodes"`
+	Reachable         int     `json:"reachable"`
+	CacheHits         int64   `json:"cache_hits"`
+	CacheMisses       int64   `json:"cache_misses"`
+	CacheHitRate      float64 `json:"cache_hit_rate"`
+	ScenarioCacheHits int64   `json:"scenario_cache_hits"`
+	ScenarioCacheMiss int64   `json:"scenario_cache_misses"`
+	Forwards          int64   `json:"forwards"`
+	ForwardErrors     int64   `json:"forward_errors"`
+	Failovers         int64   `json:"failovers"`
 }
 
 // ClusterStatusResponse is the GET /v1/cluster reply: one row per
@@ -262,9 +251,6 @@ func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) error {
 			fleet.Forwards += cs.Forwards
 			fleet.ForwardErrors += cs.ForwardErrors
 			fleet.Failovers += cs.Failovers
-			fleet.ReplicationSent += cs.Replication.Sent
-			fleet.ReplicationFailed += cs.Replication.Failed
-			fleet.ReplicationDropped += cs.Replication.Dropped
 		}
 	}
 	if lookups := fleet.CacheHits + fleet.CacheMisses; lookups > 0 {

@@ -62,14 +62,6 @@ func newTestFleet(t testing.TB, n int, mutate func(id string, cfg *Config)) *tes
 		f.urls[id] = peers[id]
 		t.Cleanup(func() { f.stop(t, id) })
 	}
-	// Runs before the stops: drop every node's pooled peer conns first.
-	// Concurrent forwards can leave a dialed-but-unused conn in a pool,
-	// and the peer's Shutdown waits ~5s for it otherwise.
-	t.Cleanup(func() {
-		for _, s := range f.srvs {
-			s.Close()
-		}
-	})
 	return f
 }
 
@@ -81,9 +73,6 @@ func (f *testFleet) stop(t testing.TB, id string) {
 		return
 	}
 	delete(f.srvs, id)
-	// Drop the test client's pooled conns first: a dialed-but-unused
-	// keep-alive conn (StateNew) stalls Shutdown for ~5s otherwise.
-	http.DefaultClient.CloseIdleConnections()
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	if err := s.Shutdown(ctx); err != nil {
@@ -315,28 +304,74 @@ func TestClusterDeadPeerAtStartup(t *testing.T) {
 	}
 }
 
-// TestClusterPeerDiesMidRun: the owner node is killed after serving a
-// key; the survivor then fails over to local compute for that key.
+// TestClusterPeerDiesMidRun: a 3-node fleet serves a set of keys, then
+// one owner is killed and every key is sent twice to both survivors.
+// Every reply is 200 with the single-node bytes; each survivor fills
+// each orphaned key once (the first request fails over to local
+// compute, the second is a hit) and never refills a key a live owner
+// holds.
 func TestClusterPeerDiesMidRun(t *testing.T) {
-	f := newTestFleet(t, 2, nil)
-	spec := paperSpec(10)
-	owner := f.ownerOf(t, spec)
-	other := f.nonOwner(t, owner)
-	req := BlockingRequest{SwitchSpec: spec}
-
-	if status, data, _ := f.post(t, other, "/v1/blocking", req, nil); status != http.StatusOK {
-		t.Fatalf("pre-kill status %d: %s", status, data)
+	f := newTestFleet(t, 3, nil)
+	var specs []SwitchSpec
+	for n := 4; n < 16; n++ {
+		specs = append(specs, paperSpec(n))
 	}
-	f.stop(t, owner)
-	status, data, servedBy := f.post(t, other, "/v1/blocking", req, nil)
-	if status != http.StatusOK {
-		t.Fatalf("post-kill status %d: %s", status, data)
+	owners := make([]string, len(specs))
+	want := make([]string, len(specs))
+	for i, spec := range specs {
+		owners[i] = f.ownerOf(t, spec)
+		req := BlockingRequest{SwitchSpec: spec}
+		want[i] = blankCached(singleNodeReply(t, "/v1/blocking", req))
+		if status, data, _ := f.post(t, f.nonOwner(t, owners[i]), "/v1/blocking", req, nil); status != http.StatusOK {
+			t.Fatalf("pre-kill status %d: %s", status, data)
+		}
 	}
-	if servedBy != other {
-		t.Errorf("post-kill served by %q, want local %q", servedBy, other)
+	dead := owners[0]
+	orphans := 0
+	for _, o := range owners {
+		if o == dead {
+			orphans++
+		}
 	}
-	if fo := f.srvs[other].cluster.Snapshot().Failovers; fo != 1 {
-		t.Errorf("failovers = %d, want 1", fo)
+	if orphans == len(specs) {
+		t.Fatalf("node %s owns all %d keys; the test needs live owners too", dead, len(specs))
+	}
+	f.stop(t, dead)
+	var survivors []string
+	misses := make(map[string]int64)
+	for _, id := range f.ids {
+		if id != dead {
+			survivors = append(survivors, id)
+			misses[id] = f.srvs[id].metrics.cacheMisses.Load()
+		}
+	}
+	for round := 0; round < 2; round++ {
+		for i, spec := range specs {
+			for _, id := range survivors {
+				status, data, servedBy := f.post(t, id, "/v1/blocking", BlockingRequest{SwitchSpec: spec}, nil)
+				if status != http.StatusOK {
+					t.Fatalf("key %d on %s: status %d: %s", i, id, status, data)
+				}
+				if got := blankCached(data); got != want[i] {
+					t.Errorf("key %d on %s: reply differs from single-node:\n%s\nvs\n%s", i, id, got, want[i])
+				}
+				wantBy := owners[i] // a live owner still serves its keys
+				if wantBy == dead {
+					wantBy = id // an orphaned key is computed where it lands
+				}
+				if servedBy != wantBy {
+					t.Errorf("key %d on %s: served by %q, want %q", i, id, servedBy, wantBy)
+				}
+			}
+		}
+	}
+	for _, id := range survivors {
+		if got := f.srvs[id].metrics.cacheMisses.Load() - misses[id]; got != int64(orphans) {
+			t.Errorf("survivor %s filled %d keys after the kill, want each of the %d orphaned keys once", id, got, orphans)
+		}
+		if fo := f.srvs[id].cluster.Snapshot().Failovers; fo != int64(2*orphans) {
+			t.Errorf("survivor %s: failovers = %d, want %d", id, fo, 2*orphans)
+		}
 	}
 }
 
@@ -385,48 +420,6 @@ func TestClusterSingleFlightAcrossNodes(t *testing.T) {
 	}
 	if got := f.fleetMisses(); got != 1 {
 		t.Errorf("fleet-wide misses = %d, want 1", got)
-	}
-}
-
-// TestClusterHotKeyReplication drives one key past the hot threshold
-// on its owner and waits for the successor's cache to be warmed by the
-// background replication (one miss appears there without any client
-// traffic).
-func TestClusterHotKeyReplication(t *testing.T) {
-	f := newTestFleet(t, 2, nil)
-	spec := paperSpec(8)
-	owner := f.ownerOf(t, spec)
-	other := f.nonOwner(t, owner)
-	req := BlockingRequest{SwitchSpec: spec}
-	// Default HotThreshold is 8: ten rapid hits on the owner cross it.
-	for i := 0; i < 10; i++ {
-		if status, data, _ := f.post(t, owner, "/v1/blocking", req, nil); status != http.StatusOK {
-			t.Fatalf("hit %d: status %d: %s", i, status, data)
-		}
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for f.srvs[other].metrics.cacheMisses.Load() == 0 && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
-	}
-	if misses := f.srvs[other].metrics.cacheMisses.Load(); misses != 1 {
-		t.Fatalf("successor misses = %d, want 1 (replication fill)", misses)
-	}
-	// DrainReplication only empties the queue; the worker may still be
-	// mid-flight on the last job, so poll the sent counter.
-	f.srvs[owner].cluster.DrainReplication(time.Second)
-	for f.srvs[owner].cluster.Snapshot().Replication.Sent == 0 && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
-	}
-	if sent := f.srvs[owner].cluster.Snapshot().Replication.Sent; sent != 1 {
-		t.Errorf("replication sent = %d, want 1", sent)
-	}
-	// The successor now answers the key from its own cache: posting
-	// there with the forwarded marker (as a failover client would after
-	// the owner dies) is a hit, not a fill.
-	hitsBefore := f.srvs[other].metrics.cacheHits.Load()
-	f.post(t, other, "/v1/blocking", req, map[string]string{cluster.HeaderForwarded: owner})
-	if hits := f.srvs[other].metrics.cacheHits.Load(); hits != hitsBefore+1 {
-		t.Errorf("successor hits %d -> %d, want a warm hit", hitsBefore, hits)
 	}
 }
 
@@ -773,29 +766,27 @@ func TestClusterGridSplitFailover(t *testing.T) {
 	}
 }
 
-// TestClusterGridSplitLoopGuard: a grid carrying the forwarded or the
-// replicate marker is served whole where it lands, never split.
+// TestClusterGridSplitLoopGuard: a grid carrying the forwarded marker
+// is served whole where it lands, never split.
 func TestClusterGridSplitLoopGuard(t *testing.T) {
-	for _, hdr := range []string{cluster.HeaderForwarded, cluster.HeaderReplicate} {
-		t.Run(hdr, func(t *testing.T) {
-			f := newTestFleet(t, 3, nil)
-			req, groups := splitGrid(t, f, paperSpec(16), 0, 1)
-			id := f.ids[0]
-			status, data, servedBy := f.post(t, id, "/v1/grid", req, map[string]string{hdr: f.ids[1]})
-			if status != http.StatusOK {
-				t.Fatalf("status %d: %s", status, data)
-			}
-			if servedBy != id {
-				t.Errorf("served by %q, want %q", servedBy, id)
-			}
-			if fwd := f.fleetForwards(); fwd != 0 {
-				t.Errorf("%d forwards under the loop guard, want 0", fwd)
-			}
-			if misses := f.srvs[id].metrics.cacheMisses.Load(); misses != int64(groups) {
-				t.Errorf("receiving node misses = %d, want every group (%d) filled locally", misses, groups)
-			}
-		})
-	}
+	t.Run(cluster.HeaderForwarded, func(t *testing.T) {
+		f := newTestFleet(t, 3, nil)
+		req, groups := splitGrid(t, f, paperSpec(16), 0, 1)
+		id := f.ids[0]
+		status, data, servedBy := f.post(t, id, "/v1/grid", req, map[string]string{cluster.HeaderForwarded: f.ids[1]})
+		if status != http.StatusOK {
+			t.Fatalf("status %d: %s", status, data)
+		}
+		if servedBy != id {
+			t.Errorf("served by %q, want %q", servedBy, id)
+		}
+		if fwd := f.fleetForwards(); fwd != 0 {
+			t.Errorf("%d forwards under the loop guard, want 0", fwd)
+		}
+		if misses := f.srvs[id].metrics.cacheMisses.Load(); misses != int64(groups) {
+			t.Errorf("receiving node misses = %d, want every group (%d) filled locally", misses, groups)
+		}
+	})
 }
 
 // TestClusterGridSplitDispatch splits a dispatch=auto grid that mixes

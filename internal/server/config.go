@@ -89,13 +89,6 @@ type Config struct {
 	// operation: the cluster layer is disabled entirely and the server
 	// behaves bit-identically to the pre-cluster daemon.
 	Peers map[string]string
-	// VNodes is the virtual nodes per member on the consistent-hash
-	// ring. Default 64.
-	VNodes int
-	// HotReplicas is how many ring successors each owner replicates
-	// its hottest cache keys to (-1 disables replication). Default 1,
-	// capped at len(Peers)-1.
-	HotReplicas int
 	// Workers and Tile select the wavefront fill schedule passed to
 	// core.Parallel for every lattice fill. Workers = 0 divides
 	// GOMAXPROCS by MaxConcurrent so that MaxConcurrent concurrent
@@ -184,9 +177,6 @@ func (c Config) validate() error {
 	} else if c.NodeID != "" {
 		return fmt.Errorf("server: NodeID %q without Peers", c.NodeID)
 	}
-	if c.VNodes < 0 {
-		return fmt.Errorf("server: VNodes %d is negative", c.VNodes)
-	}
 	if c.Workers < 0 || c.Tile < 0 {
 		return fmt.Errorf("server: negative fill schedule (workers %d, tile %d)", c.Workers, c.Tile)
 	}
@@ -196,13 +186,7 @@ func (c Config) validate() error {
 // clusterConfig derives the cluster layer's configuration; callers
 // check len(Peers) > 0 first.
 func (c Config) clusterConfig() cluster.Config {
-	return cluster.Config{
-		NodeID:      c.NodeID,
-		Peers:       c.Peers,
-		VNodes:      c.VNodes,
-		HotReplicas: c.HotReplicas,
-		Logf:        c.Logf,
-	}
+	return cluster.Config{NodeID: c.NodeID, Peers: c.Peers}
 }
 
 // fillOptions is the lattice-fill schedule every solve runs with.

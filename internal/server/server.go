@@ -8,6 +8,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -45,6 +46,50 @@ type Server struct {
 	debugSrv *http.Server
 	ln       net.Listener
 	debugLn  net.Listener
+	silent   silentConns
+}
+
+// silentConns tracks the connections that have not yet sent a whole
+// request header (http.StateNew). http.Server.Shutdown counts such a
+// connection as active for 5s before giving up on it, and an HTTP
+// client's pool can hold one that never sends: a peer's transport
+// dials for a forward, finishes the forward on another pooled
+// connection and parks the new one idle. drain closes them when
+// shutdown starts, and the hook closes any accepted afterwards at
+// once, so a drain waits only for requests already read.
+type silentConns struct {
+	mu       sync.Mutex
+	conns    map[net.Conn]struct{}
+	draining bool
+}
+
+// track is the ConnState hook of both HTTP servers.
+func (t *silentConns) track(c net.Conn, state http.ConnState) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	switch {
+	case state != http.StateNew:
+		delete(t.conns, c)
+	case t.draining:
+		c.Close() //lint:allow errcheck refusing a connection during drain; nothing was read from it
+	default:
+		if t.conns == nil {
+			t.conns = make(map[net.Conn]struct{})
+		}
+		t.conns[c] = struct{}{}
+	}
+}
+
+// drain closes every tracked connection and turns the hook into a
+// closer for the rest of the server's life.
+func (t *silentConns) drain() {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.draining = true
+	for c := range t.conns {
+		c.Close() //lint:allow errcheck the connection carries no request
+	}
+	t.conns = nil
 }
 
 // endpointNames are the instrumented endpoints, as they appear in the
@@ -241,6 +286,7 @@ func (s *Server) Start() error {
 		Handler:           s.mux,
 		ReadHeaderTimeout: 10 * time.Second,
 		IdleTimeout:       120 * time.Second,
+		ConnState:         s.silent.track,
 	}
 	if s.cfg.DebugAddr != "" {
 		dln, err := net.Listen("tcp", s.cfg.DebugAddr)
@@ -251,7 +297,7 @@ func (s *Server) Start() error {
 		s.debugLn = dln
 		// No ReadHeaderTimeout here: pprof profile/trace captures are
 		// long-polling by design.
-		s.debugSrv = &http.Server{Handler: s.debugMux}
+		s.debugSrv = &http.Server{Handler: s.debugMux, ConnState: s.silent.track}
 	}
 	return nil
 }
@@ -294,11 +340,13 @@ func (s *Server) Serve() error {
 }
 
 // Shutdown drains both servers gracefully: no new connections,
-// in-flight requests run to completion within ctx. /readyz flips to
-// 503 first, so ready-checking peers and balancers stop routing here
-// while the drain runs.
+// in-flight requests run to completion within ctx, and connections
+// that have not sent a request are closed at once (silentConns).
+// /readyz flips to 503 first, so ready-checking peers and balancers
+// stop routing here while the drain runs.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.draining.Store(true)
+	s.silent.drain()
 	var errs []error
 	if s.httpSrv != nil {
 		errs = append(errs, s.httpSrv.Shutdown(ctx))
@@ -310,10 +358,10 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	return errors.Join(errs...)
 }
 
-// Close releases background resources (the cluster replication
-// worker). Shutdown calls it; handler-only callers (tests serving
-// s.Handler() directly) should call it themselves when done. Safe to
-// call more than once and without a cluster.
+// Close releases the cluster transport's idle peer connections.
+// Shutdown calls it; handler-only callers (tests serving s.Handler()
+// directly) should call it themselves when done. Safe to call more
+// than once and without a cluster.
 func (s *Server) Close() {
 	if s.cluster != nil {
 		s.cluster.Close()

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -720,5 +721,43 @@ func TestLifecycle(t *testing.T) {
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("drain did not complete")
+	}
+}
+
+// TestShutdownClosesSilentConns: a connection that has sent nothing
+// must not hold the drain open. http.Server.Shutdown alone waits 5s for
+// one, and a client's connection pool can park such a connection.
+func TestShutdownClosesSilentConns(t *testing.T) {
+	s, err := New(Config{Addr: "127.0.0.1:0", DebugAddr: "127.0.0.1:0", Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Start(); err != nil {
+		t.Fatal(err)
+	}
+	go s.Serve() //lint:allow errcheck test server; Shutdown's error is the one that matters
+	oneShot := &http.Client{Transport: &http.Transport{DisableKeepAlives: true}}
+	for _, addr := range []string{s.Addr(), s.DebugAddr()} {
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		// The accept loop takes connections in order: once a request on
+		// a later connection is answered, the silent one is accepted.
+		resp, err := oneShot.Get("http://" + addr + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close() //lint:allow errcheck only the round trip matters
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	start := time.Now()
+	if err := s.Shutdown(ctx); err != nil {
+		t.Fatalf("shutdown: %v", err)
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Errorf("shutdown took %v with a silent connection open, want < 1s", d)
 	}
 }

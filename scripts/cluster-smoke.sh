@@ -10,8 +10,9 @@
 #   2. a /v1/grid whose class groups have different ring owners is
 #      answered identically by every node, each group filled once
 #      fleet-wide (cache_misses rises by the group count);
-#   3. killing the owner degrades to local compute on the survivors
-#      (HTTP 200, same blocking value, failovers counted) — never a
+#   3. the owner drains within 3s of SIGTERM, and killing it degrades to
+#      local compute on the survivors (HTTP 200, same blocking value,
+#      failovers counted, one local fill per survivor) — never a
 #      client-facing error;
 #   4. the /v1/cluster rollup keeps answering with the dead member
 #      marked unreachable; the final rollup is written to
@@ -148,42 +149,62 @@ if [ $((FORWARDS1 - FORWARDS0)) -ne $((2 * NGROUPS)) ]; then
 fi
 echo "cluster-smoke: mixed-owner grid identical on all 3 nodes, $NGROUPS fleet-wide fills"
 
-# Kill the owner; a survivor must fail over to local compute with the
-# same answer.
+# Kill the owner: it must drain within 3s (a peer's parked, never-used
+# pooled connection must not hold the drain open), and each survivor
+# must fail over to local compute with the same answer, filling the
+# orphaned key once.
 for i in 0 1 2; do
     if [ "${IDS[$i]}" = "$OWNER" ]; then
         OWNER_IDX=$i
     fi
 done
 SURVIVOR_IDX=$(( (OWNER_IDX + 1) % 3 ))
+SURVIVOR2_IDX=$(( (OWNER_IDX + 2) % 3 ))
+solver_misses() {
+    curl -fsS "$(url "$1")/metrics" | grep -o '"cache":{[^}]*}' | grep -o '"misses":[0-9]*' | cut -d: -f2
+}
+SMISSES0=$(( $(solver_misses $SURVIVOR_IDX) + $(solver_misses $SURVIVOR2_IDX) ))
+T0="$(date +%s%N)"
 kill -TERM "${PIDS[$OWNER_IDX]}"
 wait "${PIDS[$OWNER_IDX]}" || {
     echo "cluster-smoke: owner exited non-zero; log:" >&2
     cat "$WORK/xbard-$OWNER.log" >&2
     exit 1
 }
-echo "cluster-smoke: owner $OWNER drained cleanly"
+DRAIN_MS=$(( ($(date +%s%N) - T0) / 1000000 ))
+if [ "$DRAIN_MS" -gt 3000 ]; then
+    echo "cluster-smoke: owner took ${DRAIN_MS}ms from SIGTERM to exit, want <= 3000ms" >&2
+    exit 1
+fi
+echo "cluster-smoke: owner $OWNER drained cleanly in ${DRAIN_MS}ms"
 
-curl -fsS -D "$WORK/hdr-failover.txt" -X POST -d "$BODY" \
-    "$(url $SURVIVOR_IDX)/v1/blocking" >"$WORK/resp-failover.json"
-SB="$(served_by "$WORK/hdr-failover.txt")"
-if [ "$SB" != "${IDS[$SURVIVOR_IDX]}" ]; then
-    echo "cluster-smoke: failover served by '$SB', want local ${IDS[$SURVIVOR_IDX]}" >&2
-    exit 1
-fi
 B0="$(grep -o '"blocking":[0-9.eE+-]*' "$WORK/resp0.json" | head -1)"
-BF="$(grep -o '"blocking":[0-9.eE+-]*' "$WORK/resp-failover.json" | head -1)"
-if [ "$B0" != "$BF" ]; then
-    echo "cluster-smoke: failover blocking $BF differs from owner's $B0" >&2
+for i in $SURVIVOR_IDX $SURVIVOR2_IDX; do
+    curl -fsS -D "$WORK/hdr-failover$i.txt" -X POST -d "$BODY" \
+        "$(url $i)/v1/blocking" >"$WORK/resp-failover$i.json"
+    SB="$(served_by "$WORK/hdr-failover$i.txt")"
+    if [ "$SB" != "${IDS[$i]}" ]; then
+        echo "cluster-smoke: failover served by '$SB', want local ${IDS[$i]}" >&2
+        exit 1
+    fi
+    BF="$(grep -o '"blocking":[0-9.eE+-]*' "$WORK/resp-failover$i.json" | head -1)"
+    if [ "$B0" != "$BF" ]; then
+        echo "cluster-smoke: ${IDS[$i]} failover blocking $BF differs from owner's $B0" >&2
+        exit 1
+    fi
+    curl -fsS "$(url $i)/metrics" >"$WORK/metrics-failover$i.json"
+    grep -q '"failovers":1' "$WORK/metrics-failover$i.json" || {
+        echo "cluster-smoke: ${IDS[$i]} counted no failover; metrics:" >&2
+        cat "$WORK/metrics-failover$i.json" >&2
+        exit 1
+    }
+done
+SMISSES1=$(( $(solver_misses $SURVIVOR_IDX) + $(solver_misses $SURVIVOR2_IDX) ))
+if [ $((SMISSES1 - SMISSES0)) -ne 2 ]; then
+    echo "cluster-smoke: survivors' cache_misses rose by $((SMISSES1 - SMISSES0)), want 2 (one local fill each)" >&2
     exit 1
 fi
-curl -fsS "$(url $SURVIVOR_IDX)/metrics" >"$WORK/metrics-failover.json"
-grep -q '"failovers":1' "$WORK/metrics-failover.json" || {
-    echo "cluster-smoke: survivor counted no failover; metrics:" >&2
-    cat "$WORK/metrics-failover.json" >&2
-    exit 1
-}
-echo "cluster-smoke: failover to local compute ok (bit-identical blocking)"
+echo "cluster-smoke: failover to local compute ok on both survivors (bit-identical blocking, one fill each)"
 
 # The rollup survives the dead member and is kept as the CI artifact.
 curl -fsS "$(url $SURVIVOR_IDX)/v1/cluster" >"$ROLLUP"
